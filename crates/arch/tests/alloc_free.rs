@@ -31,7 +31,9 @@
 //!   as allocation-free as the synthetic streams.
 //!
 //! The tests live in their own integration-test binary because a
-//! `#[global_allocator]` is process-wide.
+//! `#[global_allocator]` is process-wide. The counter it keeps is per
+//! thread, so each test counts only its own allocations and the tests
+//! stay exact under the parallel test harness.
 
 use capstan_arch::ag::{AddressGenerator, DramAccess, BURST_WORDS};
 use capstan_arch::memdrv::{MemSysConfig, MemSysSim, TenantId, TenantPartition, TileTraffic};
@@ -42,15 +44,25 @@ use capstan_arch::spmu::driver::TraceRng;
 use capstan_arch::spmu::{AccessVector, LaneRequest, OrderingMode, RmwOp, Spmu, SpmuConfig};
 use capstan_sim::dram::{DramModel, MemoryKind};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so reading it never
+    // allocates (which would recurse into the allocator).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread. `try_with` skips the
+/// allocations a thread makes after its locals are torn down.
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -59,7 +71,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -67,8 +79,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static COUNTER: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Drives `spmu` with a saturating random read/RMW stream for `cycles`

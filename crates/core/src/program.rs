@@ -21,6 +21,7 @@
 //! `CapstanConfig::mem_addresses = Recorded`.
 
 use crate::config::CapstanConfig;
+use crate::perf::StageMemo;
 use capstan_arch::scanner::{BitVecScanner, DataScanner, ScanElement, ScanMode, ScanStats};
 use capstan_arch::shuffle::{ShuffleEntry, ShuffleVector};
 use capstan_arch::spmu::{AccessVector, LaneRequest, RmwOp};
@@ -197,7 +198,13 @@ impl TileWork {
 }
 
 /// A recorded workload: the unit the performance engine costs.
-#[derive(Debug, Clone)]
+///
+/// A workload is immutable once [`WorkloadBuilder::finish`] returns it:
+/// [`crate::perf::simulate`] memoizes per-config stage results on it
+/// (see the `perf` module docs, "The stage memo"), so a caller must not
+/// mutate `tiles` after the first `simulate` call. A `clone()` starts
+/// with an empty memo.
+#[derive(Clone)]
 pub struct Workload {
     /// Application name.
     pub name: String,
@@ -209,6 +216,21 @@ pub struct Workload {
     /// Compute units consumed per pipeline (2 when a scanner-only CU
     /// feeds a compute CU, §3.3).
     pub cus_per_pipeline: usize,
+    /// Per-config stage results, filled in by `perf::simulate`.
+    pub(crate) memo: StageMemo,
+}
+
+// Written out so the memo, whose contents depend on call history, stays
+// out of the text.
+impl std::fmt::Debug for Workload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Workload")
+            .field("name", &self.name)
+            .field("tiles", &self.tiles)
+            .field("dependent_rounds", &self.dependent_rounds)
+            .field("cus_per_pipeline", &self.cus_per_pipeline)
+            .finish()
+    }
 }
 
 /// Builds a [`Workload`] tile by tile.
@@ -299,6 +321,7 @@ impl WorkloadBuilder {
             tiles: self.tiles,
             dependent_rounds: self.dependent_rounds,
             cus_per_pipeline: self.cus_per_pipeline,
+            memo: StageMemo::default(),
         }
     }
 }

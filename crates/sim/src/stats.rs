@@ -11,6 +11,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// measurement, so the per-cycle hot loops stay untouched); the
 /// experiment harness samples the counter around each experiment to
 /// report *simulated cycles per wall second* in `BENCH_core.json`.
+///
+/// The count is of replay cycles *attributed to a run*, not of ticks
+/// executed: `capstan_core::perf::simulate` memoizes SpMU replays per
+/// workload, and a memo hit records the cached replay's cycles again,
+/// so a run's count does not depend on which calls came before it.
 static SIMULATED_CYCLES: AtomicU64 = AtomicU64::new(0);
 
 /// Adds `n` simulated cycles to the process-wide total.
