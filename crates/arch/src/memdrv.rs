@@ -100,7 +100,6 @@ use capstan_sim::dram::{
     BankTiming, BankedStats, BurstRequest, ChannelArray, DramModel, BURST_BYTES,
 };
 use capstan_sim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
-use std::sync::OnceLock;
 
 /// One tile's DRAM traffic, as recorded by the workload builder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -249,9 +248,7 @@ pub struct MemSysConfig {
     /// stretches of the tick loop (event-driven fast-forward) instead
     /// of burning one tick per cycle. Bit-identical to the per-cycle
     /// reference in simulated cycles, statistics, and snapshots — only
-    /// wall-clock time changes — so the default is on. The
-    /// `CAPSTAN_MEM_FASTFORWARD` environment variable (read once per
-    /// process) overrides this field in either direction; `=0` is the
+    /// wall-clock time changes — so the default is on; `false` is the
     /// escape hatch back to the per-cycle reference loop.
     pub fast_forward: bool,
     /// Tenants whose traffic the driver interleaves (`1..=MAX_TENANTS`).
@@ -559,29 +556,6 @@ pub struct MemSysSim {
     /// the watchdog across call boundaries. Not serialized — restore
     /// re-anchors it at the restored cycle.
     watch: (u64, (u64, u64, u64)),
-    /// Effective fast-forward switch: [`MemSysConfig::fast_forward`]
-    /// with the `CAPSTAN_MEM_FASTFORWARD` environment override applied
-    /// at construction. Not part of the simulated state (fast-forward
-    /// is bit-identical to per-cycle ticking), so not serialized and
-    /// not covered by the snapshot config hash — snapshots move freely
-    /// between the two modes.
-    ff: bool,
-}
-
-/// Process-wide `CAPSTAN_MEM_FASTFORWARD` override, read once:
-/// `Some(false)` for `0`/`false`/`off`, `Some(true)` for `1`/`true`/`on`,
-/// `None` (defer to [`MemSysConfig::fast_forward`]) when unset or
-/// unrecognized.
-fn env_fast_forward() -> Option<bool> {
-    static OVERRIDE: OnceLock<Option<bool>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| match std::env::var("CAPSTAN_MEM_FASTFORWARD") {
-        Ok(v) => match v.trim() {
-            "0" | "false" | "off" => Some(false),
-            "1" | "true" | "on" => Some(true),
-            _ => None,
-        },
-        Err(_) => None,
-    })
 }
 
 impl MemSysSim {
@@ -657,7 +631,6 @@ impl MemSysSim {
             flushed: false,
             cycles_recorded: 0,
             watch: (0, (0, 0, 0)),
-            ff: env_fast_forward().unwrap_or(cfg.fast_forward),
         }
     }
 
@@ -1108,9 +1081,8 @@ impl MemSysSim {
     ///
     /// Whether the drain loop burns one host iteration per simulated
     /// cycle or jumps over provably inert stretches is controlled by
-    /// [`MemSysConfig::fast_forward`] (env override
-    /// `CAPSTAN_MEM_FASTFORWARD`); the two modes are bit-identical in
-    /// simulated cycles, statistics, and snapshots.
+    /// [`MemSysConfig::fast_forward`]; the two modes are bit-identical
+    /// in simulated cycles, statistics, and snapshots.
     ///
     /// # Panics
     ///
@@ -1134,8 +1106,8 @@ impl MemSysSim {
     /// # Event-driven fast-forward
     ///
     /// With [`MemSysConfig::fast_forward`] enabled (the default;
-    /// `CAPSTAN_MEM_FASTFORWARD=0` is the escape hatch back to the
-    /// per-cycle reference loop), `step` skips ahead whenever the issue
+    /// disabling it is the escape hatch back to the per-cycle reference
+    /// loop), `step` skips ahead whenever the issue
     /// stage is blocked and every component reports its next event
     /// strictly ahead: the skipped ticks are replayed in closed form by each
     /// component's [`MemChannel::fast_forward`], bit-identically to
@@ -1176,7 +1148,7 @@ impl MemSysSim {
             if remaining == 0 {
                 return false;
             }
-            if self.ff && !self.can_issue() {
+            if self.cfg.fast_forward && !self.can_issue() {
                 if let Some(event) = self.next_event() {
                     // Jump to the tick *before* the event so the next
                     // per-cycle tick is the one that completes it.

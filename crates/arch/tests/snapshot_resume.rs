@@ -6,11 +6,9 @@
 //! address sources (synthetic streams and recorded vectors), at
 //! deterministic cut points and at proptest-chosen ones.
 //!
-//! This is the contract the crash-safe experiment harness
-//! (`experiments --resume`) and the checkpoint/fault-injection knobs
-//! (`CAPSTAN_CHECKPOINT_DIR`, `CAPSTAN_FAULT_AFTER_CYCLES`) stand on:
-//! if a restored continuation diverged by even one cycle, a resumed
-//! sweep could not byte-diff clean against an uninterrupted one.
+//! This is the contract mid-run savestates stand on: if a restored
+//! continuation diverged by even one cycle, a checkpointed drain could
+//! not finish byte-identical to an uninterrupted one.
 
 use capstan_arch::memdrv::{
     MemStats, MemSysConfig, MemSysSim, TenantId, TenantPartition, TenantStats, TileTraffic,

@@ -9,6 +9,23 @@
 //! [`capstan_par::par_map`], which returns results in input order, so
 //! the report text is byte-identical to a serial run (set
 //! `CAPSTAN_THREADS=1` to force one).
+//!
+//! # Run modes
+//!
+//! Every configuration an experiment builds comes from its [`Suite`]:
+//! [`Suite::config`] for the paper's design point on a memory system,
+//! and `suite.modes.apply(..)` for the ideal and Plasticine
+//! configurations. So the suite's
+//! [`RunModes`](capstan_core::config::RunModes) — the `experiments`
+//! CLI's `--mem*` and `--plan` flags, or a served request's fields —
+//! reach each experiment as a value, and two suites with different
+//! modes can run side by side in one process. An experiment that
+//! studies a memory knob overrides that knob per configuration and
+//! ignores the suite's setting for it; every other knob still follows
+//! the suite. That is how the `+rec`, `+chN` and `+mtN` row suffixes
+//! stay honest on `table13-atomics` even under the analytic default:
+//! it forces the timing mode per configuration, but its cycle-level
+//! driver runs with the suite's addressing, channel and tenant modes.
 
 use crate::suite::{gmean, AppId, Suite};
 use capstan_apps::App;
@@ -262,7 +279,7 @@ pub fn table8() -> String {
 /// allocator / arbitrated, with hashed or linear banking).
 pub fn table9(suite: &Suite) -> String {
     let mut out = header("Table 9: SpMU architecture sensitivity (runtime / Capstan-Hash)");
-    let base = CapstanConfig::paper_default();
+    let base = suite.config(MemoryKind::Hbm2e);
     let mk = |f: &dyn Fn(&mut CapstanConfig)| {
         let mut cfg = base;
         f(&mut cfg);
@@ -334,7 +351,7 @@ pub fn table9(suite: &Suite) -> String {
 /// Table 10: impact of SpMU memory-ordering modes.
 pub fn table10(suite: &Suite) -> String {
     let mut out = header("Table 10: ordering modes (runtime / unordered)");
-    let base = CapstanConfig::paper_default();
+    let base = suite.config(MemoryKind::Hbm2e);
     let configs: Vec<(&str, CapstanConfig)> = vec![
         ("Capstan", base),
         ("AddrOrd", {
@@ -397,7 +414,7 @@ pub fn table10(suite: &Suite) -> String {
 pub fn table11(suite: &Suite) -> String {
     let mut out = header("Table 11: merge network sensitivity (runtime / Mrg-1)");
     let shift_cfg = |shift: Option<MergeShift>, mem: MemoryKind| -> CapstanConfig {
-        let mut cfg = CapstanConfig::new(mem);
+        let mut cfg = suite.config(mem);
         cfg.shuffle = shift.map(|s| ShuffleConfig {
             shift: s,
             ..Default::default()
@@ -411,7 +428,7 @@ pub fn table11(suite: &Suite) -> String {
         "App", "DDR4-None", "HBM-None", "Mrg-0", "Mrg-1", "Mrg-16"
     );
     for app in apps {
-        let base = CapstanConfig::paper_default();
+        let base = suite.config(MemoryKind::Hbm2e);
         let configs: Vec<(&str, CapstanConfig)> = vec![
             ("ddr4-none", shift_cfg(None, MemoryKind::Ddr4)),
             (
@@ -454,13 +471,19 @@ pub fn table11(suite: &Suite) -> String {
 /// each application, across memory systems and platforms.
 pub fn table12(suite: &Suite) -> String {
     let mut out = header("Table 12: normalized runtimes (reproduced | paper)");
-    let base = CapstanConfig::paper_default();
+    let base = suite.config(MemoryKind::Hbm2e);
     let platform_cfgs: Vec<(&str, CapstanConfig)> = vec![
-        ("Capstan (Ideal Net & Mem)", CapstanConfig::ideal()),
-        ("Capstan (HBM2E)", CapstanConfig::new(MemoryKind::Hbm2e)),
-        ("Capstan (HBM2)", CapstanConfig::new(MemoryKind::Hbm2)),
-        ("Capstan (DDR4)", CapstanConfig::new(MemoryKind::Ddr4)),
-        ("Plasticine (HBM2E)", plasticine::config(MemoryKind::Hbm2e)),
+        (
+            "Capstan (Ideal Net & Mem)",
+            suite.modes.apply(CapstanConfig::ideal()),
+        ),
+        ("Capstan (HBM2E)", suite.config(MemoryKind::Hbm2e)),
+        ("Capstan (HBM2)", suite.config(MemoryKind::Hbm2)),
+        ("Capstan (DDR4)", suite.config(MemoryKind::Ddr4)),
+        (
+            "Plasticine (HBM2E)",
+            suite.modes.apply(plasticine::config(MemoryKind::Hbm2e)),
+        ),
     ];
     // Simulate every app on every platform.
     let mut cycles: Vec<Vec<f64>> = vec![Vec::new(); platform_cfgs.len()];
@@ -540,8 +563,8 @@ pub fn table12(suite: &Suite) -> String {
 pub fn table13(suite: &Suite) -> String {
     use capstan_baselines::asic::{Eie, Graphicionado, MatRaptor, Scnn};
     let mut out = header("Table 13: Capstan vs bespoke accelerators (speedup, reproduced | paper)");
-    let hbm = CapstanConfig::new(MemoryKind::Hbm2e);
-    let ddr = CapstanConfig::new(MemoryKind::Ddr4);
+    let hbm = suite.config(MemoryKind::Hbm2e);
+    let ddr = suite.config(MemoryKind::Ddr4);
     let clock = capstan_sim::CLOCK_GHZ * 1e9;
 
     // EIE: CSC SpMV compute throughput on an EIE-class fully-connected
@@ -686,7 +709,7 @@ fn scatter_update_workload(unit: usize, atomic_words: u64) -> Workload {
 pub fn table13_atomics(suite: &Suite) -> String {
     let mut out = header("Table 13 atomics: intensity sweep, analytic vs cycle-level DRAM");
     let mk = |timing: MemTiming| {
-        let mut cfg = CapstanConfig::new(MemoryKind::Hbm2e);
+        let mut cfg = suite.config(MemoryKind::Hbm2e);
         cfg.mem_timing = timing;
         cfg
     };
@@ -792,12 +815,12 @@ fn addressed_scatter_workload(unit: usize, atomic_words: u64, hub_permille: u64)
 /// (partition locality keeps almost every read on-tile) — its few
 /// repeated boundary vertices still coalesce, but over two orders of
 /// magnitude fewer cycles. Timing mode and addressing are set per
-/// configuration, so the experiment is independent of the
-/// `--mem`/`--mem-addresses` process defaults.
+/// configuration, so the experiment is independent of the suite's
+/// `timing` and `addresses` modes.
 pub fn table13_recorded(suite: &Suite) -> String {
     let mut out = header("Table 13 recorded: synthetic vs recorded scattered addressing");
     let mk = |addresses: MemAddressing| {
-        let mut cfg = CapstanConfig::new(MemoryKind::Hbm2e);
+        let mut cfg = suite.config(MemoryKind::Hbm2e);
         cfg.mem_timing = MemTiming::CycleLevel;
         cfg.mem_addresses = addresses;
         cfg
@@ -875,12 +898,12 @@ pub fn table13_recorded(suite: &Suite) -> String {
 /// parallelism a single shared channel hides. A PR-Edge/no-shuffle
 /// anchor (every cross-tile update a DRAM atomic) grounds the sweep in
 /// a real workload. Channel counts are set per configuration here, so
-/// the experiment is independent of the `--mem`/`--mem-channels`
-/// process defaults.
+/// the experiment is independent of the suite's `timing` and
+/// `channels` modes.
 pub fn table13_channels(suite: &Suite) -> String {
     let mut out = header("Table 13 channels: region-channel sweep, cycle-level DRAM");
     let mk = |channels: usize| {
-        let mut cfg = CapstanConfig::new(MemoryKind::Hbm2e);
+        let mut cfg = suite.config(MemoryKind::Hbm2e);
         cfg.mem_timing = MemTiming::CycleLevel;
         cfg.mem_channels = channels;
         cfg
@@ -973,12 +996,12 @@ fn multitenant_mix_workload(unit: usize, hub_weight: u64) -> Workload {
 /// tenant's load — pinned as an invariant in
 /// `tests/mem_multitenant_differential.rs`). Timing mode, channel
 /// count, tenant count, and partition policy are all set per
-/// configuration, so the experiment is independent of the
-/// `--mem`/`--mem-channels`/`--mem-tenants` process defaults.
+/// configuration, so the experiment is independent of the suite's
+/// `timing`, `channels`, and `tenants` modes.
 pub fn table_multitenant(suite: &Suite) -> String {
     let mut out = header("Multi-tenant: hub vs streaming tenants, shared vs dedicated channels");
     let mk = |partition: TenantPartition| {
-        let mut cfg = CapstanConfig::new(MemoryKind::Hbm2e);
+        let mut cfg = suite.config(MemoryKind::Hbm2e);
         cfg.mem_timing = MemTiming::CycleLevel;
         cfg.mem_channels = 4;
         cfg.mem_tenants = 2;
@@ -1082,7 +1105,7 @@ pub fn fig4() -> String {
 pub fn fig5a(suite: &Suite) -> String {
     let mut out = header("Figure 5a: DRAM bandwidth sensitivity (speedup vs 20 GB/s)");
     let bandwidths = [20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0];
-    let base = CapstanConfig::paper_default();
+    let base = suite.config(MemoryKind::Hbm2e);
     let _ = write!(out, "{:<9}", "App");
     for bw in bandwidths {
         let _ = write!(out, "{bw:>8.0}");
@@ -1099,7 +1122,7 @@ pub fn fig5a(suite: &Suite) -> String {
         // Baseline plus all bandwidth points simulate concurrently.
         let cycles = capstan_par::par_map_range(bandwidths.len() + 1, |i| {
             let bw = if i == 0 { 20.0 } else { bandwidths[i - 1] };
-            simulate(&workload, &CapstanConfig::new(MemoryKind::Custom(bw))).cycles
+            simulate(&workload, &suite.config(MemoryKind::Custom(bw))).cycles
         });
         let _ = write!(out, "{:<9}", app.short());
         for (i, _) in bandwidths.iter().enumerate() {
@@ -1147,7 +1170,7 @@ pub fn fig5b(suite: &Suite) -> String {
         let _ = write!(out, "{:<9}", app.short());
         let mut base_cycles = None;
         for par in pars {
-            let mut cfg = CapstanConfig::paper_default();
+            let mut cfg = suite.config(MemoryKind::Hbm2e);
             cfg.outer_par = par;
             let app_inst = suite.build(app, app.datasets()[1]);
             let r = app_inst.simulate(&cfg);
@@ -1164,7 +1187,7 @@ pub fn fig5b(suite: &Suite) -> String {
 pub fn fig5c(suite: &Suite) -> String {
     let mut out = header("Figure 5c: compression speedup vs bandwidth");
     let bandwidths = [20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0];
-    let base = CapstanConfig::paper_default();
+    let base = suite.config(MemoryKind::Hbm2e);
     let _ = write!(out, "{:<9}", "App");
     for bw in bandwidths {
         let _ = write!(out, "{bw:>8.0}");
@@ -1179,7 +1202,7 @@ pub fn fig5c(suite: &Suite) -> String {
         let workload = suite.build(app, dataset).build(&base);
         // Every (bandwidth, compression on/off) pair simulates concurrently.
         let speedups = capstan_par::par_map(&bandwidths, |&bw| {
-            let mut on = CapstanConfig::new(MemoryKind::Custom(bw));
+            let mut on = suite.config(MemoryKind::Custom(bw));
             on.compression = true;
             let mut off = on;
             off.compression = false;
@@ -1219,13 +1242,13 @@ pub fn fig6(suite: &Suite) -> String {
         } else {
             app.datasets()[0]
         };
-        let mut max_cfg = CapstanConfig::paper_default();
+        let mut max_cfg = suite.config(MemoryKind::Hbm2e);
         max_cfg.scanner = BitVecScanner::new(512, 16);
         let app_inst = suite.build(app, dataset);
         let base = app_inst.simulate(&max_cfg).cycles as f64;
         let _ = write!(out, "{:<9}", app.short());
         for w in widths {
-            let mut cfg = CapstanConfig::paper_default();
+            let mut cfg = suite.config(MemoryKind::Hbm2e);
             cfg.scanner = BitVecScanner::new(w, 16.min(w.max(1)));
             let r = app_inst.simulate(&cfg);
             let _ = write!(out, "{:>8.2}", r.cycles as f64 / base);
@@ -1243,12 +1266,12 @@ pub fn fig6(suite: &Suite) -> String {
     );
     for app in [AppId::CscSpmv, AppId::Conv] {
         let app_inst = suite.build(app, app.datasets()[1]);
-        let mut max_cfg = CapstanConfig::paper_default();
+        let mut max_cfg = suite.config(MemoryKind::Hbm2e);
         max_cfg.data_scanner = DataScanner::new(16);
         let base = app_inst.simulate(&max_cfg).cycles as f64;
         let _ = write!(out, "{:<9}", app.short());
         for w in data_widths {
-            let mut cfg = CapstanConfig::paper_default();
+            let mut cfg = suite.config(MemoryKind::Hbm2e);
             cfg.data_scanner = DataScanner::new(w);
             let r = app_inst.simulate(&cfg);
             let _ = write!(out, "{:>8.2}", r.cycles as f64 / base);
@@ -1266,12 +1289,12 @@ pub fn fig6(suite: &Suite) -> String {
     );
     for app in [AppId::MpM, AppId::SpMSpM] {
         let app_inst = suite.build(app, app.datasets()[1]);
-        let mut max_cfg = CapstanConfig::paper_default();
+        let mut max_cfg = suite.config(MemoryKind::Hbm2e);
         max_cfg.scanner = BitVecScanner::new(256, 16);
         let base = app_inst.simulate(&max_cfg).cycles as f64;
         let _ = write!(out, "{:<9}", app.short());
         for v in outputs {
-            let mut cfg = CapstanConfig::paper_default();
+            let mut cfg = suite.config(MemoryKind::Hbm2e);
             cfg.scanner = BitVecScanner::new(256, v);
             let r = app_inst.simulate(&cfg);
             let _ = write!(out, "{:>8.2}", r.cycles as f64 / base);
@@ -1287,7 +1310,7 @@ pub fn fig6(suite: &Suite) -> String {
 /// Figure 7: execution-time breakdown per app and dataset.
 pub fn fig7(suite: &Suite) -> String {
     let mut out = header("Figure 7: execution time breakdown (%)");
-    let cfg = CapstanConfig::paper_default();
+    let cfg = suite.config(MemoryKind::Hbm2e);
     let _ = writeln!(
         out,
         "{:<9} {:<17} {:>7} {:>6} {:>6} {:>7} {:>7} {:>7} {:>6} {:>6}",
@@ -1372,7 +1395,7 @@ pub fn ablations(suite: &Suite) -> String {
 
     // (c) Conv halo mapping: shuffle network vs memory exchange.
     let _ = writeln!(out, "(c) Conv halo mapping (runtime / shuffle-mapped):");
-    let cfg = CapstanConfig::paper_default();
+    let cfg = suite.config(MemoryKind::Hbm2e);
     let mut app =
         capstan_apps::conv::SparseConv::from_dataset(Dataset::ResNet50L2, suite.conv_scale);
     let fast = app.simulate(&cfg).cycles as f64;
@@ -1430,7 +1453,7 @@ pub fn ablations(suite: &Suite) -> String {
 /// evaluate (GNNs via SpMM, Krylov CG, block-sparse BCSR).
 pub fn extensions(suite: &Suite) -> String {
     let mut out = header("Extensions: GCN layer, CG solver, BCSR format study");
-    let cfg = CapstanConfig::paper_default();
+    let cfg = suite.config(MemoryKind::Hbm2e);
 
     // (a) GCN layer: lane efficiency of SpMM vs PR-Pull on the same
     // power-law structure. The paper's Fig. 7 shows PR-Pull starved by
@@ -1469,7 +1492,7 @@ pub fn extensions(suite: &Suite) -> String {
     // (b) GCN fusion: the X*W round trip saved by fusing GEMM into SpMM.
     let _ = writeln!(out, "(b) GCN layer, unfused/fused runtime:");
     for (name, mem) in [("DDR4 ", MemoryKind::Ddr4), ("HBM2E", MemoryKind::Hbm2e)] {
-        let mem_cfg = CapstanConfig::new(mem);
+        let mem_cfg = suite.config(mem);
         let fused = simulate(&layer.record(&mem_cfg).0, &mem_cfg).cycles as f64;
         let unfused = simulate(&layer.record_unfused(&mem_cfg).0, &mem_cfg).cycles as f64;
         let _ = writeln!(out, "  {name}: {:.2}x", unfused / fused);
@@ -1482,7 +1505,7 @@ pub fn extensions(suite: &Suite) -> String {
     let mut cg = capstan_apps::cg::ConjugateGradient::new(&system);
     cg.iterations = 6;
     for (name, mem) in [("DDR4 ", MemoryKind::Ddr4), ("HBM2E", MemoryKind::Hbm2e)] {
-        let mem_cfg = CapstanConfig::new(mem);
+        let mem_cfg = suite.config(mem);
         let fused = simulate(&cg.record(&mem_cfg).0, &mem_cfg).cycles as f64;
         let unfused = simulate(&cg.record_unfused(&mem_cfg).0, &mem_cfg).cycles as f64;
         let _ = writeln!(out, "  {name}: {:.2}x", unfused / fused);
@@ -1526,7 +1549,7 @@ pub fn extensions(suite: &Suite) -> String {
         "(e) CSR-vs-DCSR on 8192x8192 (ratio > 1 means DCSR wins):"
     );
     let _ = writeln!(out, "  occupied-rows  prefers-dcsr  csr/dcsr-cycles");
-    let ddr = CapstanConfig::new(MemoryKind::Ddr4);
+    let ddr = suite.config(MemoryKind::Ddr4);
     for occupied in [64usize, 512, 2048, 8192] {
         // ~`occupied` rows, a few non-zeros each.
         let m = capstan_tensor::gen::uniform(8192, 8192, occupied * 3 / 2, 21);

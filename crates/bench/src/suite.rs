@@ -10,7 +10,7 @@ use capstan_apps::spmspm::SpMSpM;
 use capstan_apps::spmv::{CooSpmv, CscSpmv, CsrSpmv};
 use capstan_apps::sssp::Sssp;
 use capstan_apps::App;
-use capstan_core::config::{default_plan_mode, PlanMode};
+use capstan_core::config::{CapstanConfig, MemoryKind, PlanMode, RunModes};
 use capstan_tensor::gen::Dataset;
 use capstan_tensor::stats::TensorStats;
 
@@ -123,10 +123,11 @@ impl AppId {
     }
 }
 
-/// Simulation scale: the fraction of each dataset's paper-reported size
-/// that is generated and simulated. Scaled evaluation follows the paper's
-/// own practice of substituting a smaller graph when "simulation
-/// feasibility" demands it (§4).
+/// Simulation scale — the fraction of each dataset's paper-reported size
+/// that is generated and simulated — plus the run modes every
+/// configuration the suite's experiments build runs under. Scaled
+/// evaluation follows the paper's own practice of substituting a
+/// smaller graph when "simulation feasibility" demands it (§4).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Suite {
     /// Scale for the linear-algebra matrices (SpMV, M+M, BiCGStab).
@@ -137,6 +138,9 @@ pub struct Suite {
     pub spmspm_scale: f64,
     /// Scale for the convolution layers (channel fraction).
     pub conv_scale: f64,
+    /// Memory and plan modes of the run (not part of the scale: the
+    /// presets and [`Suite::parse`] leave them at the default).
+    pub modes: RunModes,
 }
 
 impl Suite {
@@ -147,6 +151,7 @@ impl Suite {
             graph_scale: 0.015,
             spmspm_scale: 0.5,
             conv_scale: 0.10,
+            modes: RunModes::default(),
         }
     }
 
@@ -157,6 +162,7 @@ impl Suite {
             graph_scale: 0.03,
             spmspm_scale: 1.0,
             conv_scale: 0.20,
+            modes: RunModes::default(),
         }
     }
 
@@ -167,6 +173,7 @@ impl Suite {
             graph_scale: 0.08,
             spmspm_scale: 1.0,
             conv_scale: 0.5,
+            modes: RunModes::default(),
         }
     }
 
@@ -235,6 +242,7 @@ impl Suite {
                     graph_scale,
                     spmspm_scale,
                     conv_scale,
+                    modes: RunModes::default(),
                 })
             }
             _ => Err(format!(
@@ -271,13 +279,18 @@ impl Suite {
         }
     }
 
-    /// Builds one application instance on one dataset under the
-    /// process-wide plan mode ([`default_plan_mode`]): hardcoded
-    /// constructors under `Fixed` (bit-compatible with every committed
-    /// golden value), planner-derived formats under `Auto` (see
-    /// [`Suite::build_planned`]).
+    /// The paper's design point on `memory`, under this suite's run
+    /// modes: how every experiment builds its configurations.
+    pub fn config(&self, memory: MemoryKind) -> CapstanConfig {
+        self.modes.apply(CapstanConfig::new(memory))
+    }
+
+    /// Builds one application instance on one dataset under the suite's
+    /// plan mode: hardcoded constructors under `Fixed` (bit-compatible
+    /// with every committed golden value), planner-derived formats under
+    /// `Auto` (see [`Suite::build_planned`]).
     pub fn build(&self, app: AppId, dataset: Dataset) -> Box<dyn App> {
-        self.build_planned(app, dataset, default_plan_mode())
+        self.build_planned(app, dataset, self.modes.plan)
     }
 
     /// Builds one application instance on one dataset under an explicit
@@ -360,7 +373,7 @@ mod tests {
     fn planned_builds_replace_only_the_format_generic_spmv() {
         let suite = Suite::small();
         // Fixed mode is the hardcoded constructor set, byte-compatible
-        // with `build` under the process default.
+        // with `build` under the default modes.
         for app in AppId::ALL {
             let fixed = suite.build_planned(app, app.datasets()[0], PlanMode::Fixed);
             assert_eq!(fixed.name(), app.name());

@@ -7,7 +7,6 @@ use capstan_arch::shuffle::ShuffleConfig;
 use capstan_arch::spmu::SpmuConfig;
 pub use capstan_sim::dram::MemoryKind;
 use capstan_sim::network::NetworkConfig;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 /// How the performance engine prices DRAM time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -132,177 +131,157 @@ impl MemAddressing {
     }
 }
 
-/// The bench-row suffix a memory configuration runs under: `+cycle` for
-/// the cycle-level timing mode, `+rec` for recorded addressing, `+chN`
-/// for N > 1 region channels, `+mtN` for N > 1 memory tenants, `+plan`
-/// for planner-derived configurations, concatenated in that fixed
-/// order. Rows with different suffixes form separate record groups
-/// (their simulated cycles intentionally differ), so every place that
-/// names a row — the `experiments` CLI, its resume journal, and the
-/// serving layer's shard/merge protocol — must derive the suffix
-/// identically; this is the one definition they all share.
-pub fn mem_record_suffix(
-    timing: MemTiming,
-    addressing: MemAddressing,
-    channels: usize,
-    tenants: usize,
-    plan: PlanMode,
-) -> String {
-    let mut suffix = String::new();
-    if timing == MemTiming::CycleLevel {
-        suffix.push_str("+cycle");
-    }
-    if addressing == MemAddressing::Recorded {
-        suffix.push_str("+rec");
-    }
-    if channels > 1 {
-        suffix.push_str(&format!("+ch{channels}"));
-    }
-    if tenants > 1 {
-        suffix.push_str(&format!("+mt{tenants}"));
-    }
-    if plan == PlanMode::Auto {
-        suffix.push_str("+plan");
-    }
-    suffix
+/// Upper bound on a run's region-channel count — the widest topology
+/// the memory model is exercised at, with headroom; an absurd channel
+/// count would otherwise make a run allocate per-channel state
+/// unboundedly.
+pub const MAX_CHANNELS: usize = 1024;
+
+/// The run-wide modes one invocation simulates under: memory timing,
+/// scattered addressing, region channels, memory tenants, the drain
+/// loop's fast-forward switch, and the plan mode. The paper's sweeps
+/// change one subsystem at a time, so these are one value handed to
+/// every configuration a run builds ([`RunModes::apply`]) rather than
+/// process state. The default is the mode every committed golden value
+/// was captured under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunModes {
+    /// DRAM timing mode (see [`MemTiming`]).
+    pub timing: MemTiming,
+    /// Scattered-address mode (see [`MemAddressing`]).
+    pub addresses: MemAddressing,
+    /// Region channels of the cycle-level mode (`1..=MAX_CHANNELS`).
+    pub channels: usize,
+    /// Memory tenants of the cycle-level mode (`1..=MAX_TENANTS`).
+    pub tenants: usize,
+    /// Event-driven fast-forward of the cycle-level drain. Bit-identical
+    /// to per-cycle ticking, so it never changes a row's suffix.
+    pub fast_forward: bool,
+    /// Where format/memory choices come from (see [`PlanMode`]).
+    pub plan: PlanMode,
 }
 
-/// Process-wide default for [`CapstanConfig::new`]'s `mem_timing` field
-/// (0 = analytic, 1 = cycle-level).
-static DEFAULT_MEM_TIMING: AtomicU8 = AtomicU8::new(0);
-
-/// Process-wide default for [`CapstanConfig::new`]'s `mem_addresses`
-/// field (0 = synthetic, 1 = recorded).
-static DEFAULT_MEM_ADDRESSING: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the scattered-address mode newly constructed configurations
-/// default to (the `experiments --mem-addresses recorded` flag). Like
-/// [`set_default_mem_timing`], intended to be called **once, at process
-/// start**; flipping it mid-run would break the determinism contract
-/// between concurrently recorded experiments.
-pub fn set_default_mem_addressing(mode: MemAddressing) {
-    DEFAULT_MEM_ADDRESSING.store(
-        match mode {
-            MemAddressing::Synthetic => 0,
-            MemAddressing::Recorded => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The scattered-address mode newly constructed configurations default
-/// to.
-pub fn default_mem_addressing() -> MemAddressing {
-    match DEFAULT_MEM_ADDRESSING.load(Ordering::Relaxed) {
-        0 => MemAddressing::Synthetic,
-        _ => MemAddressing::Recorded,
+impl Default for RunModes {
+    fn default() -> Self {
+        RunModes {
+            timing: MemTiming::Analytic,
+            addresses: MemAddressing::Synthetic,
+            channels: 1,
+            tenants: 1,
+            fast_forward: true,
+            plan: PlanMode::Fixed,
+        }
     }
 }
 
-/// Sets the memory-timing mode newly constructed configurations default
-/// to. Intended to be called **once, at process start** (the
-/// `experiments --mem cycle` flag); flipping it mid-run would break the
-/// determinism contract between concurrently recorded experiments.
-pub fn set_default_mem_timing(timing: MemTiming) {
-    DEFAULT_MEM_TIMING.store(
-        match timing {
-            MemTiming::Analytic => 0,
-            MemTiming::CycleLevel => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
+impl RunModes {
+    /// Each field's CLI flag and wire-protocol key, in canonical order.
+    pub const FLAGS: [(&'static str, &'static str); 6] = [
+        ("--mem", "mem"),
+        ("--mem-addresses", "addresses"),
+        ("--mem-channels", "channels"),
+        ("--mem-tenants", "tenants"),
+        ("--mem-fastforward", "fastforward"),
+        ("--plan", "plan"),
+    ];
 
-/// The memory-timing mode newly constructed configurations default to.
-pub fn default_mem_timing() -> MemTiming {
-    match DEFAULT_MEM_TIMING.load(Ordering::Relaxed) {
-        0 => MemTiming::Analytic,
-        _ => MemTiming::CycleLevel,
+    /// `cfg` with its memory-mode fields set to these modes (the plan
+    /// mode is not a config field; `Suite::build` reads it).
+    pub fn apply(self, mut cfg: CapstanConfig) -> CapstanConfig {
+        cfg.mem_timing = self.timing;
+        cfg.mem_addresses = self.addresses;
+        cfg.mem_channels = self.channels;
+        cfg.mem_tenants = self.tenants;
+        cfg.mem_fast_forward = self.fast_forward;
+        cfg
     }
-}
 
-/// Process-wide default for [`CapstanConfig::new`]'s `mem_fast_forward`
-/// field (0 = per-cycle reference loop, 1 = event-driven fast-forward).
-static DEFAULT_MEM_FASTFORWARD: AtomicU8 = AtomicU8::new(1);
+    /// The bench-row suffix a run under these modes carries: `+cycle`
+    /// for the cycle-level timing mode, `+rec` for recorded addressing,
+    /// `+chN` for N > 1 region channels, `+mtN` for N > 1 memory
+    /// tenants, `+plan` for planner-derived configurations,
+    /// concatenated in that fixed order. Fast-forward adds nothing: it
+    /// never changes simulated cycles. Rows with different suffixes
+    /// form separate record groups (their simulated cycles
+    /// intentionally differ), so every place that names a row — the
+    /// `experiments` CLI, its resume journal, and the serving layer's
+    /// shard/merge protocol — derives it here.
+    pub fn suffix(&self) -> String {
+        let mut suffix = String::new();
+        if self.timing == MemTiming::CycleLevel {
+            suffix.push_str("+cycle");
+        }
+        if self.addresses == MemAddressing::Recorded {
+            suffix.push_str("+rec");
+        }
+        if self.channels > 1 {
+            suffix.push_str(&format!("+ch{}", self.channels));
+        }
+        if self.tenants > 1 {
+            suffix.push_str(&format!("+mt{}", self.tenants));
+        }
+        if self.plan == PlanMode::Auto {
+            suffix.push_str("+plan");
+        }
+        suffix
+    }
 
-/// Sets whether newly constructed configurations default to the
-/// cycle-level memory mode's event-driven fast-forward (the
-/// `experiments --mem-fastforward` flag). The two drain modes are
-/// bit-identical in simulated cycles and statistics — only wall-clock
-/// speed differs — but like [`set_default_mem_timing`] this is intended
-/// to be called **once, at process start**, so every experiment in a
-/// run is recorded under one declared mode. The
-/// `CAPSTAN_MEM_FASTFORWARD` environment variable overrides whatever is
-/// configured here (see `capstan_arch::memdrv::MemSysConfig`).
-pub fn set_default_mem_fast_forward(enabled: bool) {
-    DEFAULT_MEM_FASTFORWARD.store(u8::from(enabled), Ordering::Relaxed);
-}
+    /// The canonical command line for these modes: every flag of
+    /// [`RunModes::FLAGS`] with its value, in that order.
+    pub fn args(&self) -> Vec<String> {
+        let values = [
+            self.timing.tag().to_string(),
+            self.addresses.tag().to_string(),
+            self.channels.to_string(),
+            self.tenants.to_string(),
+            if self.fast_forward { "on" } else { "off" }.to_string(),
+            self.plan.tag().to_string(),
+        ];
+        Self::FLAGS
+            .iter()
+            .zip(values)
+            .flat_map(|(&(flag, _), value)| [flag.to_string(), value])
+            .collect()
+    }
 
-/// Whether newly constructed configurations default to event-driven
-/// fast-forward in the cycle-level memory mode.
-pub fn default_mem_fast_forward() -> bool {
-    DEFAULT_MEM_FASTFORWARD.load(Ordering::Relaxed) != 0
-}
-
-/// Process-wide default for [`CapstanConfig::new`]'s `mem_channels`
-/// field.
-static DEFAULT_MEM_CHANNELS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the cycle-level region-channel count newly constructed
-/// configurations default to (the `experiments --mem-channels N` flag).
-/// Like [`set_default_mem_timing`], intended to be called **once, at
-/// process start**; zero is clamped to one channel.
-pub fn set_default_mem_channels(channels: usize) {
-    DEFAULT_MEM_CHANNELS.store(channels.max(1), Ordering::Relaxed);
-}
-
-/// The cycle-level region-channel count newly constructed
-/// configurations default to.
-pub fn default_mem_channels() -> usize {
-    DEFAULT_MEM_CHANNELS.load(Ordering::Relaxed)
-}
-
-/// Process-wide default for [`CapstanConfig::new`]'s `mem_tenants`
-/// field.
-static DEFAULT_MEM_TENANTS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the cycle-level memory-tenant count newly constructed
-/// configurations default to (the `experiments --mem-tenants N` flag).
-/// Like [`set_default_mem_timing`], intended to be called **once, at
-/// process start**; the value is clamped to `1..=MAX_TENANTS`.
-pub fn set_default_mem_tenants(tenants: usize) {
-    DEFAULT_MEM_TENANTS.store(tenants.clamp(1, MAX_TENANTS), Ordering::Relaxed);
-}
-
-/// The cycle-level memory-tenant count newly constructed configurations
-/// default to.
-pub fn default_mem_tenants() -> usize {
-    DEFAULT_MEM_TENANTS.load(Ordering::Relaxed)
-}
-
-/// Process-wide default plan mode (0 = fixed, 1 = auto).
-static DEFAULT_PLAN_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the plan mode the process runs under (the `experiments --plan`
-/// flag). Like [`set_default_mem_timing`], intended to be called
-/// **once, at process start**; flipping it mid-run would let one sweep
-/// mix planned and hand-fixed configurations under a single record
-/// suffix.
-pub fn set_default_plan_mode(mode: PlanMode) {
-    DEFAULT_PLAN_MODE.store(
-        match mode {
-            PlanMode::Fixed => 0,
-            PlanMode::Auto => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The plan mode the process runs under.
-pub fn default_plan_mode() -> PlanMode {
-    match DEFAULT_PLAN_MODE.load(Ordering::Relaxed) {
-        0 => PlanMode::Fixed,
-        _ => PlanMode::Auto,
+    /// Parses `value` into the field whose wire key (see
+    /// [`RunModes::FLAGS`]) is `key`. The one validation rule for the
+    /// CLI and the wire protocol alike: a bad value is an error, never
+    /// a silent fallback to a default.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let count = |max: usize| {
+            value
+                .parse()
+                .ok()
+                .filter(|n| (1..=max).contains(n))
+                .ok_or_else(|| format!("{key} must be an integer in 1..={max}, got `{value}`"))
+        };
+        match key {
+            "mem" => {
+                self.timing = MemTiming::parse(value)
+                    .ok_or_else(|| format!("unknown memory mode `{value}` (analytic|cycle)"))?;
+            }
+            "addresses" => {
+                self.addresses = MemAddressing::parse(value).ok_or_else(|| {
+                    format!("unknown addressing mode `{value}` (synthetic|recorded)")
+                })?;
+            }
+            "channels" => self.channels = count(MAX_CHANNELS)?,
+            "tenants" => self.tenants = count(MAX_TENANTS)?,
+            "fastforward" => {
+                self.fast_forward = match value {
+                    "on" => true,
+                    "off" => false,
+                    _ => return Err(format!("unknown fast-forward mode `{value}` (on|off)")),
+                };
+            }
+            "plan" => {
+                self.plan = PlanMode::parse(value)
+                    .ok_or_else(|| format!("unknown plan mode `{value}` (fixed|auto)"))?;
+            }
+            _ => return Err(format!("unknown run-mode field `{key}`")),
+        }
+        Ok(())
     }
 }
 
@@ -391,9 +370,7 @@ pub struct CapstanConfig {
     /// tick stretches (event-driven fast-forward) instead of ticking
     /// every cycle. Bit-identical in simulated cycles and statistics to
     /// the per-cycle reference loop — only wall-clock speed changes —
-    /// so it defaults to on. Overridable per process by the
-    /// `CAPSTAN_MEM_FASTFORWARD` environment variable; ignored by the
-    /// analytic mode.
+    /// so it defaults to on. Ignored by the analytic mode.
     pub mem_fast_forward: bool,
     /// Maximum recorded DRAM addresses retained per tile *per traffic
     /// class* (random reads, atomics, remote-update destinations). The
@@ -422,12 +399,12 @@ impl CapstanConfig {
             scalar_stream_join: false,
             rmw_bubble_cycles: 0,
             serialized_sram: false,
-            mem_timing: default_mem_timing(),
-            mem_channels: default_mem_channels(),
-            mem_tenants: default_mem_tenants(),
+            mem_timing: MemTiming::Analytic,
+            mem_channels: 1,
+            mem_tenants: 1,
             mem_tenant_partition: TenantPartition::default(),
-            mem_addresses: default_mem_addressing(),
-            mem_fast_forward: default_mem_fast_forward(),
+            mem_addresses: MemAddressing::Synthetic,
+            mem_fast_forward: true,
             addr_sample_limit: 512,
         }
     }
@@ -484,51 +461,42 @@ mod tests {
     #[test]
     fn mem_timing_defaults_to_analytic() {
         // Every golden value in the repo was captured under the analytic
-        // mode; the process-wide default must not drift. (No test may
-        // call `set_default_mem_timing` — tests run concurrently in one
-        // process; explicit per-config overrides are the test-safe way.)
+        // mode; the default must not drift.
         assert_eq!(MemTiming::default(), MemTiming::Analytic);
         assert_eq!(
             CapstanConfig::paper_default().mem_timing,
             MemTiming::Analytic
         );
+        assert_eq!(RunModes::default().timing, MemTiming::Analytic);
     }
 
     #[test]
     fn mem_channels_defaults_to_the_bit_compatible_single_channel() {
         // The golden pins were captured under one region channel; the
-        // process-wide default must not drift. (As with the timing mode,
-        // no test may call `set_default_mem_channels` — tests share one
-        // process; explicit per-config overrides are the test-safe way.)
+        // default must not drift.
         assert_eq!(CapstanConfig::paper_default().mem_channels, 1);
-        assert_eq!(default_mem_channels(), 1);
+        assert_eq!(RunModes::default().channels, 1);
     }
 
     #[test]
     fn mem_addressing_defaults_to_synthetic() {
         // Every golden value was captured under synthetic scattered
-        // addressing; the process-wide default must not drift. (As with
-        // the timing mode, no test may call `set_default_mem_addressing`
-        // — tests share one process; explicit per-config overrides are
-        // the test-safe way.)
+        // addressing; the default must not drift.
         assert_eq!(MemAddressing::default(), MemAddressing::Synthetic);
         assert_eq!(
             CapstanConfig::paper_default().mem_addresses,
             MemAddressing::Synthetic
         );
-        assert_eq!(default_mem_addressing(), MemAddressing::Synthetic);
+        assert_eq!(RunModes::default().addresses, MemAddressing::Synthetic);
         assert!(CapstanConfig::paper_default().addr_sample_limit > 0);
     }
 
     #[test]
     fn mem_fast_forward_defaults_to_on() {
         // Fast-forward is bit-identical to per-cycle ticking, so the
-        // fast path is the safe default. (As with the timing mode, no
-        // test may call `set_default_mem_fast_forward` — tests share
-        // one process; explicit per-config overrides are the test-safe
-        // way.)
+        // fast path is the safe default.
         assert!(CapstanConfig::paper_default().mem_fast_forward);
-        assert!(default_mem_fast_forward());
+        assert!(RunModes::default().fast_forward);
     }
 
     #[test]
@@ -551,12 +519,30 @@ mod tests {
 
     #[test]
     fn plan_mode_defaults_to_fixed() {
-        // Every golden value was captured with hand-fixed configurations;
-        // the process-wide default must not drift. (As with the timing
-        // mode, no test may call `set_default_plan_mode` — tests share
-        // one process.)
+        // Every golden value was captured with hand-fixed
+        // configurations; the default must not drift.
         assert_eq!(PlanMode::default(), PlanMode::Fixed);
-        assert_eq!(default_plan_mode(), PlanMode::Fixed);
+        assert_eq!(RunModes::default().plan, PlanMode::Fixed);
+    }
+
+    /// The five suffix-bearing modes as one positional call, so the
+    /// committed spellings below read as a table.
+    fn mem_record_suffix(
+        timing: MemTiming,
+        addresses: MemAddressing,
+        channels: usize,
+        tenants: usize,
+        plan: PlanMode,
+    ) -> String {
+        RunModes {
+            timing,
+            addresses,
+            channels,
+            tenants,
+            plan,
+            ..RunModes::default()
+        }
+        .suffix()
     }
 
     #[test]
@@ -603,15 +589,65 @@ mod tests {
     #[test]
     fn mem_tenants_defaults_to_the_bit_compatible_single_tenant() {
         // The golden pins were captured under the single-tenant driver;
-        // the process-wide default must not drift. (As with the timing
-        // mode, no test may call `set_default_mem_tenants` — tests share
-        // one process; explicit per-config overrides are the test-safe
-        // way.)
+        // the default must not drift.
         assert_eq!(CapstanConfig::paper_default().mem_tenants, 1);
-        assert_eq!(default_mem_tenants(), 1);
+        assert_eq!(RunModes::default().tenants, 1);
         assert_eq!(
             CapstanConfig::paper_default().mem_tenant_partition,
             TenantPartition::Shared
+        );
+    }
+
+    #[test]
+    fn default_modes_leave_every_config_unchanged() {
+        let modes = RunModes::default();
+        for cfg in [
+            CapstanConfig::paper_default(),
+            CapstanConfig::ideal(),
+            CapstanConfig::new(MemoryKind::Ddr4),
+        ] {
+            assert_eq!(modes.apply(cfg), cfg);
+        }
+        assert_eq!(modes.suffix(), "");
+    }
+
+    #[test]
+    fn run_mode_values_parse_with_one_bound_per_field() {
+        let mut modes = RunModes::default();
+        modes.set("mem", "cycle").unwrap();
+        modes.set("addresses", "recorded").unwrap();
+        modes.set("channels", &MAX_CHANNELS.to_string()).unwrap();
+        modes.set("tenants", &MAX_TENANTS.to_string()).unwrap();
+        modes.set("fastforward", "off").unwrap();
+        modes.set("plan", "auto").unwrap();
+        let expected = RunModes {
+            timing: MemTiming::CycleLevel,
+            addresses: MemAddressing::Recorded,
+            channels: MAX_CHANNELS,
+            tenants: MAX_TENANTS,
+            fast_forward: false,
+            plan: PlanMode::Auto,
+        };
+        assert_eq!(modes, expected);
+        let over_channels = (MAX_CHANNELS + 1).to_string();
+        let over_tenants = (MAX_TENANTS + 1).to_string();
+        for (key, bad) in [
+            ("mem", "psychic"),
+            ("addresses", "vibes"),
+            ("channels", "0"),
+            ("channels", over_channels.as_str()),
+            ("channels", "many"),
+            ("tenants", "0"),
+            ("tenants", over_tenants.as_str()),
+            ("fastforward", "maybe"),
+            ("plan", "manual"),
+            ("zoom", "2"),
+        ] {
+            assert!(modes.set(key, bad).is_err(), "{key}={bad} must be rejected");
+        }
+        assert_eq!(
+            modes, expected,
+            "a rejected value leaves the modes as they were"
         );
     }
 

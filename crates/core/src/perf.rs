@@ -219,82 +219,43 @@ impl Clone for StageMemo {
     }
 }
 
-/// Crash-safety hooks for the cycle-level drain, read once from the
-/// environment:
-///
-/// * `CAPSTAN_CHECKPOINT_DIR` — when set, the drain loop periodically
-///   writes the driver's sealed snapshot to `<dir>/memsys.ckpt`
-///   (atomic temp-file + rename, last write wins). A diagnostic /
-///   smoke-test artifact: it proves mid-run savestates are taken on a
-///   live workload and restorable offline.
-/// * `CAPSTAN_CHECKPOINT_EVERY_CYCLES` — checkpoint cadence in
-///   simulated cycles (default `1 << 20`).
-/// * `CAPSTAN_FAULT_AFTER_CYCLES` — fault injection: once the
-///   process-wide simulated-cycle total (plus the in-progress batch)
-///   reaches this, the process prints a diagnostic and exits with code
-///   43, simulating a mid-experiment crash for the kill-and-resume CI
-///   job. With worker threads the crossing is detected at chunk
-///   granularity, so the exact exit point is approximate — the resume
-///   contract never depends on *where* a run died, only that the
-///   journal already holds every completed row.
-#[derive(Debug, Default)]
-struct MemHooks {
-    checkpoint_dir: Option<std::path::PathBuf>,
-    checkpoint_every: u64,
-    fault_after: Option<u64>,
+/// Step-chunk size of the drain while a fault is armed: small enough
+/// that the injected fault lands mid-drain.
+const FAULT_CHUNK_CYCLES: u64 = 4096;
+
+/// Fault injection for the cycle-level drain, read once from
+/// `CAPSTAN_FAULT_AFTER_CYCLES`: once the process-wide simulated-cycle
+/// total (plus the in-progress batch) reaches it, the process prints a
+/// diagnostic and exits with code 43, simulating a mid-experiment crash
+/// for the kill-and-resume CI job. With worker threads the crossing is
+/// detected at chunk granularity, so the exact exit point is
+/// approximate — the resume contract never depends on *where* a run
+/// died, only that the journal already holds every completed row.
+fn fault_after_cycles() -> Option<u64> {
+    static FAULT_AFTER: OnceLock<Option<u64>> = OnceLock::new();
+    *FAULT_AFTER.get_or_init(|| {
+        std::env::var("CAPSTAN_FAULT_AFTER_CYCLES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+    })
 }
 
-impl MemHooks {
-    fn get() -> &'static MemHooks {
-        static HOOKS: OnceLock<MemHooks> = OnceLock::new();
-        HOOKS.get_or_init(|| {
-            let parse = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
-            MemHooks {
-                checkpoint_dir: std::env::var_os("CAPSTAN_CHECKPOINT_DIR")
-                    .map(std::path::PathBuf::from),
-                checkpoint_every: parse("CAPSTAN_CHECKPOINT_EVERY_CYCLES").unwrap_or(1 << 20),
-                fault_after: parse("CAPSTAN_FAULT_AFTER_CYCLES"),
-            }
-        })
-    }
-
-    fn active(&self) -> bool {
-        self.checkpoint_dir.is_some() || self.fault_after.is_some()
-    }
-}
-
-/// Drains `msim` to completion. Without hooks this is exactly
-/// [`MemSysSim::run`]; with hooks the same drain runs in bounded
+/// Drains `msim` to completion. Without an armed fault this is exactly
+/// [`MemSysSim::run`]; with one the same drain runs in bounded
 /// [`MemSysSim::step`] chunks (bit-identical by the step contract) so
-/// checkpoints and the injected fault land mid-run.
+/// the injected fault lands mid-run.
 fn drive_memsys(msim: &mut MemSysSim) -> MemStats {
-    let hooks = MemHooks::get();
-    if !hooks.active() {
+    let Some(limit) = fault_after_cycles() else {
         return msim.run();
-    }
-    let chunk = hooks.checkpoint_every.max(1);
+    };
     let base = capstan_sim::stats::simulated_cycles();
-    while !msim.step(chunk) {
-        if let Some(limit) = hooks.fault_after {
-            if base + msim.cycle() >= limit {
-                if let Some(dir) = &hooks.checkpoint_dir {
-                    let _ = std::fs::create_dir_all(dir);
-                    let _ = capstan_sim::snapshot::atomic_write(
-                        &dir.join("memsys.ckpt"),
-                        &msim.save_state(),
-                    );
-                }
-                eprintln!(
-                    "capstan: injected fault after {} simulated cycles (CAPSTAN_FAULT_AFTER_CYCLES)",
-                    base + msim.cycle()
-                );
-                std::process::exit(43);
-            }
-        }
-        if let Some(dir) = &hooks.checkpoint_dir {
-            let _ = std::fs::create_dir_all(dir);
-            let _ =
-                capstan_sim::snapshot::atomic_write(&dir.join("memsys.ckpt"), &msim.save_state());
+    while !msim.step(FAULT_CHUNK_CYCLES) {
+        if base + msim.cycle() >= limit {
+            eprintln!(
+                "capstan: injected fault after {} simulated cycles (CAPSTAN_FAULT_AFTER_CYCLES)",
+                base + msim.cycle()
+            );
+            std::process::exit(43);
         }
     }
     msim.finish_run()
@@ -587,11 +548,10 @@ pub fn simulate(workload: &Workload, cfg: &CapstanConfig) -> PerfReport {
                 // pre-tenant driver.
                 mcfg.tenants = cfg.mem_tenants.clamp(1, MAX_TENANTS);
                 mcfg.partition = cfg.mem_tenant_partition;
-                // The drain-loop mode is declared per config (the
-                // CAPSTAN_MEM_FASTFORWARD env override is applied
-                // inside the driver). It participates in the pool key
-                // like every other config field, which is harmless:
-                // the process-wide default makes it constant per run.
+                // The drain-loop mode is declared per config. It
+                // participates in the pool key like every other config
+                // field, which is harmless: a run's modes make it
+                // constant per run.
                 mcfg.fast_forward = cfg.mem_fast_forward;
                 // Under recorded addressing, each tile also hands the
                 // driver its sampled scattered-address vectors. The

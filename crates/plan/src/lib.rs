@@ -130,17 +130,15 @@ pub fn build_spmv(m: &Coo, format: FormatClass) -> Option<Box<dyn App>> {
     }
 }
 
-/// The probe configuration: analytic timing, synthetic addressing,
-/// single tenant — explicit, never the process defaults, so a planned
-/// run's probes are identical no matter what `--mem` flags the process
-/// started with.
+/// The probe configuration: the paper default (analytic timing,
+/// synthetic addressing, single tenant) on `channels` region channels,
+/// so a planned run's probes are identical whatever modes the run
+/// itself uses.
 fn probe_config(channels: usize) -> CapstanConfig {
-    let mut cfg = CapstanConfig::paper_default();
-    cfg.mem_timing = MemTiming::Analytic;
-    cfg.mem_addresses = MemAddressing::Synthetic;
-    cfg.mem_channels = channels;
-    cfg.mem_tenants = 1;
-    cfg
+    CapstanConfig {
+        mem_channels: channels,
+        ..CapstanConfig::paper_default()
+    }
 }
 
 /// Position in [`FormatClass::ALL`] — the second key of the total

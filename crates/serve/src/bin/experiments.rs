@@ -58,17 +58,16 @@
 //! an unlabeled row would silently diverge from the committed baseline.
 //! (`table13-channels`, `table13-recorded`, and `table-multitenant` are
 //! the exceptions: they set their channel counts / addressing / tenant
-//! mixes per configuration and ignore the process defaults.) The suffix rules live in one place,
-//! `capstan_core::config::mem_record_suffix`, shared with the serving
-//! layer, so the CLI, the server, and the journal headers can never
-//! disagree on a row's record group. `--mem-fastforward on|off`
-//! selects between
-//! the cycle-level mode's event-driven fast path (the default) and the
-//! per-cycle reference loop; it adds **no** suffix because the two
-//! modes are bit-identical in simulated cycles — rows stay comparable
-//! and only `cycles_per_second` moves. The `CAPSTAN_MEM_FASTFORWARD`
-//! environment variable overrides the flag (useful for A/B-ing a
-//! build without changing its command line). `--plan auto` routes the
+//! mixes per configuration and ignore the suite's modes for them.) The
+//! flags fill one `capstan_core::config::RunModes` value that the
+//! suite carries to every experiment; its parser, canonical flags, and
+//! suffix rule are shared with the serving layer, so the CLI, the
+//! server, and the journal headers can never disagree on a row's record
+//! group. `--mem-fastforward on|off` selects between the cycle-level
+//! mode's event-driven fast path (the default) and the per-cycle
+//! reference loop; it adds **no** suffix because the two modes are
+//! bit-identical in simulated cycles — rows stay comparable and only
+//! `cycles_per_second` moves. `--plan auto` routes the
 //! format-generic experiment slots through the density-driven planner
 //! (`capstan_plan`): each matrix's statistics pick its sparse format
 //! via `TensorStats::suggest`, and every row gains a `+plan` suffix —
@@ -123,11 +122,7 @@
 use capstan_bench::experiments as exp;
 use capstan_bench::gate::{self, BenchEntry, BenchRecord};
 use capstan_bench::Suite;
-use capstan_core::config::{
-    mem_record_suffix, set_default_mem_addressing, set_default_mem_channels,
-    set_default_mem_fast_forward, set_default_mem_tenants, set_default_mem_timing,
-    set_default_plan_mode, MemAddressing, MemTiming, PlanMode,
-};
+use capstan_core::config::{PlanMode, RunModes};
 use capstan_serve::client;
 use capstan_serve::key::RunSpec;
 use capstan_serve::server::{Server, ServerConfig};
@@ -146,28 +141,20 @@ const USAGE: &str = "usage: experiments [NAMES...] \
        experiments --serve-stats ADDR
        experiments --serve-shutdown ADDR";
 
-/// Parsed command line (process-default setters are applied by `main`,
-/// not here, so parsing stays a pure, unit-testable function).
+/// Parsed command line (a pure, unit-testable function of the
+/// arguments; `main` acts on it).
 #[derive(Debug, Default, PartialEq)]
 struct Cli {
     /// Experiment names in command-line order, `all` not yet expanded.
     which: Vec<String>,
     /// Validated scale spec (default `medium`).
     scale: Option<String>,
-    /// `--mem` override (last one wins, like the process setters).
-    mem: Option<MemTiming>,
-    /// `--mem-addresses` override.
-    mem_addresses: Option<MemAddressing>,
-    /// `--mem-channels` override.
-    mem_channels: Option<usize>,
-    /// `--mem-tenants` override.
-    mem_tenants: Option<usize>,
-    /// `--mem-fastforward` override (no bench-row suffix: the two drain
-    /// modes are bit-identical in simulated cycles).
-    mem_fast_forward: Option<bool>,
-    /// `--plan` override: `auto` routes format-generic experiment
-    /// slots through the density-driven planner and tags rows `+plan`.
-    plan: Option<PlanMode>,
+    /// The run modes the `--mem*` and `--plan` flags set (last one
+    /// wins).
+    modes: RunModes,
+    /// Wire keys of the run-mode flags given (see [`RunModes::FLAGS`]),
+    /// so mode combinations can be policed.
+    mode_flags: Vec<&'static str>,
     bench_out: Option<String>,
     bench_base: Option<String>,
     no_bench_out: bool,
@@ -206,57 +193,19 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         }
     };
     while let Some(arg) = it.next() {
+        if let Some(&(flag, key)) = RunModes::FLAGS.iter().find(|(flag, _)| flag == arg) {
+            let raw = value(flag, &mut it)?;
+            cli.modes
+                .set(key, &raw)
+                .map_err(|e| format!("{flag}: {e}"))?;
+            cli.mode_flags.push(key);
+            continue;
+        }
         match arg.as_str() {
             "--scale" => {
                 let spec = value("--scale", &mut it)?;
                 Suite::parse(&spec)?;
                 cli.scale = Some(spec);
-            }
-            "--mem" => {
-                let raw = value("--mem", &mut it)?;
-                cli.mem = Some(
-                    MemTiming::parse(&raw)
-                        .ok_or_else(|| format!("unknown memory mode `{raw}` (analytic|cycle)"))?,
-                );
-            }
-            "--mem-addresses" => {
-                let raw = value("--mem-addresses", &mut it)?;
-                cli.mem_addresses = Some(MemAddressing::parse(&raw).ok_or_else(|| {
-                    format!("unknown addressing mode `{raw}` (synthetic|recorded)")
-                })?);
-            }
-            "--mem-channels" => {
-                let raw = value("--mem-channels", &mut it)?;
-                let n: usize = raw.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                    format!("--mem-channels needs a positive integer, got `{raw}`")
-                })?;
-                cli.mem_channels = Some(n);
-            }
-            "--mem-tenants" => {
-                let raw = value("--mem-tenants", &mut it)?;
-                let max = capstan_core::config::MAX_TENANTS;
-                let n: usize = raw
-                    .parse()
-                    .ok()
-                    .filter(|&n| (1..=max).contains(&n))
-                    .ok_or_else(|| {
-                        format!("--mem-tenants needs an integer in 1..={max}, got `{raw}`")
-                    })?;
-                cli.mem_tenants = Some(n);
-            }
-            "--mem-fastforward" => {
-                cli.mem_fast_forward = Some(match value("--mem-fastforward", &mut it)?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("unknown fast-forward mode `{other}` (on|off)")),
-                });
-            }
-            "--plan" => {
-                let raw = value("--plan", &mut it)?;
-                cli.plan = Some(
-                    PlanMode::parse(&raw)
-                        .ok_or_else(|| format!("unknown plan mode `{raw}` (fixed|auto)"))?,
-                );
             }
             "--bench-out" => cli.bench_out = Some(value("--bench-out", &mut it)?),
             "--bench-base" => cli.bench_base = Some(value("--bench-base", &mut it)?),
@@ -315,12 +264,7 @@ fn check_modes(cli: &Cli) -> Result<(), String> {
             return Err(format!("{mode} takes no experiment names"));
         }
         if cli.scale.is_some()
-            || cli.mem.is_some()
-            || cli.mem_addresses.is_some()
-            || cli.mem_channels.is_some()
-            || cli.mem_tenants.is_some()
-            || cli.mem_fast_forward.is_some()
-            || cli.plan.is_some()
+            || !cli.mode_flags.is_empty()
             || cli.bench_out.is_some()
             || cli.bench_base.is_some()
             || cli.no_bench_out
@@ -336,7 +280,7 @@ fn check_modes(cli: &Cli) -> Result<(), String> {
             || cli.bench_base.is_some()
             || cli.no_bench_out
             || cli.resume.is_some()
-            || cli.mem_fast_forward.is_some())
+            || cli.mode_flags.contains(&"fastforward"))
     {
         return Err(
             "--submit cannot combine with --bench-out/--bench-base/--no-bench-out/--resume/\
@@ -351,8 +295,10 @@ fn check_modes(cli: &Cli) -> Result<(), String> {
     // combination: the server's own workers are spawned with the
     // materialized flags plus `--plan auto` for the row suffix.
     if cli.submit.is_some()
-        && cli.plan == Some(PlanMode::Auto)
-        && (cli.mem.is_some() || cli.mem_addresses.is_some() || cli.mem_channels.is_some())
+        && cli.modes.plan == PlanMode::Auto
+        && ["mem", "addresses", "channels"]
+            .iter()
+            .any(|key| cli.mode_flags.contains(key))
     {
         return Err(
             "--submit --plan auto cannot combine with --mem/--mem-addresses/--mem-channels \
@@ -486,7 +432,7 @@ fn run_submit(cli: &Cli) -> ! {
     // stands in for the sweep: its stats are a pure function of the
     // scale spec, so identical submissions plan — and content-address —
     // identically.
-    let stats = (cli.plan == Some(PlanMode::Auto)).then(|| {
+    let stats = (cli.modes.plan == PlanMode::Auto).then(|| {
         let suite = Suite::parse(&scale).unwrap_or_else(|e| die(&e));
         let m = capstan_tensor::gen::Dataset::Ckt11752.generate_scaled(suite.la_scale);
         capstan_tensor::stats::TensorStats::compute(&m).encode()
@@ -496,11 +442,7 @@ fn run_submit(cli: &Cli) -> ! {
         .map(|name| {
             let mut spec = RunSpec::new(name);
             spec.scale = scale.clone();
-            spec.mem = cli.mem.unwrap_or_default();
-            spec.addresses = cli.mem_addresses.unwrap_or_default();
-            spec.channels = cli.mem_channels.unwrap_or(1);
-            spec.tenants = cli.mem_tenants.unwrap_or(1);
-            spec.plan = cli.plan.unwrap_or_default();
+            spec.set_modes(cli.modes);
             spec.stats = stats.clone();
             spec
         })
@@ -534,8 +476,7 @@ fn main() {
         }
     };
 
-    // Service verbs run before any process-default setter is touched:
-    // the serving process simulates nothing itself, and a submission's
+    // Service verbs simulate nothing in this process: a submission's
     // configuration travels in the request.
     if cli.serve.is_some() {
         run_server(&cli);
@@ -562,40 +503,12 @@ fn main() {
     }
 
     let scale_name = cli.scale.unwrap_or_else(|| "medium".to_string());
-    let suite = match Suite::parse(&scale_name) {
+    let mut suite = match Suite::parse(&scale_name) {
         Ok(suite) => suite,
         Err(e) => die(&e),
     };
-    // Setters follow the last flag occurrence (parse keeps
-    // last-one-wins semantics); the bench-row suffix comes from the
-    // shared `mem_record_suffix` rule.
-    if let Some(mode) = cli.mem {
-        set_default_mem_timing(mode);
-    }
-    if let Some(mode) = cli.mem_addresses {
-        set_default_mem_addressing(mode);
-    }
-    if let Some(n) = cli.mem_channels {
-        set_default_mem_channels(n);
-    }
-    if let Some(n) = cli.mem_tenants {
-        set_default_mem_tenants(n);
-    }
-    // No suffix: fast-forward changes wall-clock speed only, never
-    // simulated cycles, so its rows stay in the same record group.
-    if let Some(enabled) = cli.mem_fast_forward {
-        set_default_mem_fast_forward(enabled);
-    }
-    if let Some(mode) = cli.plan {
-        set_default_plan_mode(mode);
-    }
-    let suffix = mem_record_suffix(
-        cli.mem.unwrap_or_default(),
-        cli.mem_addresses.unwrap_or_default(),
-        cli.mem_channels.unwrap_or(1),
-        cli.mem_tenants.unwrap_or(1),
-        cli.plan.unwrap_or_default(),
-    );
+    suite.modes = cli.modes;
+    let suffix = cli.modes.suffix();
 
     let mut which = cli.which;
     if which.is_empty() {
@@ -725,6 +638,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capstan_core::config::{MemAddressing, MemTiming};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -752,11 +666,17 @@ mod tests {
         .unwrap();
         assert_eq!(cli.which, vec!["fig7"]);
         assert_eq!(cli.scale.as_deref(), Some("small"));
-        assert_eq!(cli.mem, Some(MemTiming::CycleLevel));
-        assert_eq!(cli.mem_addresses, Some(MemAddressing::Recorded));
-        assert_eq!(cli.mem_channels, Some(4));
-        assert_eq!(cli.mem_tenants, Some(2));
-        assert_eq!(cli.mem_fast_forward, Some(false));
+        assert_eq!(
+            cli.modes,
+            RunModes {
+                timing: MemTiming::CycleLevel,
+                addresses: MemAddressing::Recorded,
+                channels: 4,
+                tenants: 2,
+                fast_forward: false,
+                plan: PlanMode::Fixed,
+            }
+        );
         assert_eq!(cli.bench_out.as_deref(), Some("OUT.json"));
         assert!(!cli.no_bench_out);
     }
@@ -834,6 +754,10 @@ mod tests {
         assert!(parse_args(&args(&["--mem-addresses", "vibes"])).is_err());
         assert!(parse_args(&args(&["--mem-channels", "0"])).is_err());
         assert!(parse_args(&args(&["--mem-channels", "many"])).is_err());
+        // One channel bound for the CLI and the wire protocol.
+        assert!(parse_args(&args(&["--mem-channels", "1024"])).is_ok());
+        let err = parse_args(&args(&["--mem-channels", "1025"])).unwrap_err();
+        assert!(err.contains("1..=1024"), "{err}");
         assert!(parse_args(&args(&["--mem-tenants", "0"])).is_err());
         assert!(parse_args(&args(&["--mem-tenants", "99"])).is_err());
         assert!(parse_args(&args(&["--mem-fastforward", "maybe"])).is_err());
@@ -869,7 +793,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(cli.submit.as_deref(), Some("a:1"));
-        assert_eq!(cli.mem, Some(MemTiming::CycleLevel));
+        assert_eq!(cli.modes.timing, MemTiming::CycleLevel);
         for bad in [
             vec!["--submit", "a:1", "--resume", "jdir"],
             vec!["--submit", "a:1", "--bench-out", "OUT.json"],
@@ -885,13 +809,13 @@ mod tests {
     #[test]
     fn repeated_flags_keep_last_one_wins() {
         let cli = parse_args(&args(&["--mem", "cycle", "--mem", "analytic"])).unwrap();
-        assert_eq!(cli.mem, Some(MemTiming::Analytic));
+        assert_eq!(cli.modes.timing, MemTiming::Analytic);
     }
 
     #[test]
     fn plan_flag_parses_and_is_policed_per_mode() {
         let cli = parse_args(&args(&["planner", "--plan", "auto"])).unwrap();
-        assert_eq!(cli.plan, Some(PlanMode::Auto));
+        assert_eq!(cli.modes.plan, PlanMode::Auto);
         assert!(parse_args(&args(&["--plan", "maybe"])).is_err());
         assert!(parse_args(&args(&["--plan"])).is_err());
         // Direct runs may combine --plan auto with memory flags (the
@@ -933,6 +857,85 @@ mod tests {
         assert!(err.contains("takes no run flags"), "{err}");
         let err = parse_args(&args(&["--serve-stats", "a:1", "--plan", "auto"])).unwrap_err();
         assert!(err.contains("takes no run flags"), "{err}");
+    }
+
+    /// Every combination of the suffix-bearing modes (fast-forward both
+    /// ways).
+    fn every_mode_combination() -> Vec<RunModes> {
+        let mut all = Vec::new();
+        for timing in [MemTiming::Analytic, MemTiming::CycleLevel] {
+            for addresses in [MemAddressing::Synthetic, MemAddressing::Recorded] {
+                for channels in [1, 4] {
+                    for tenants in [1, 2] {
+                        for plan in [PlanMode::Fixed, PlanMode::Auto] {
+                            for fast_forward in [true, false] {
+                                all.push(RunModes {
+                                    timing,
+                                    addresses,
+                                    channels,
+                                    tenants,
+                                    fast_forward,
+                                    plan,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn run_modes_round_trip_through_the_canonical_flags() {
+        // What a server worker's command line (`RunModes::args`) says is
+        // exactly what the worker parses, and names the same row group.
+        for modes in every_mode_combination() {
+            let cli = parse_args(&modes.args()).unwrap();
+            assert_eq!(cli.modes, modes);
+            assert_eq!(cli.modes.suffix(), modes.suffix());
+        }
+    }
+
+    #[test]
+    fn run_modes_round_trip_through_the_wire() {
+        use capstan_serve::proto::{format_submit, parse_request, Request};
+        for modes in every_mode_combination() {
+            let mut spec = RunSpec::new("fig7");
+            spec.scale = "small".to_string();
+            spec.set_modes(modes);
+            // Fast-forward never changes a result, so it is not a
+            // request field.
+            let sent = RunModes {
+                fast_forward: true,
+                ..modes
+            };
+            // A planned frame carries statistics instead of the
+            // configuration the planner owns; the server fills those
+            // fields in before it keys or runs the request.
+            let expected = match modes.plan {
+                PlanMode::Fixed => sent,
+                PlanMode::Auto => {
+                    spec.stats = Some("s1:4:4:4:4:1:4:1:1:4".to_string());
+                    RunModes {
+                        timing: MemTiming::Analytic,
+                        addresses: MemAddressing::Synthetic,
+                        channels: 1,
+                        ..sent
+                    }
+                }
+            };
+            assert_eq!(spec.modes(), sent);
+            let Request::Submit(parsed) = parse_request(format_submit(&spec).trim_end()).unwrap()
+            else {
+                panic!("not a submit")
+            };
+            assert_eq!(parsed.modes(), expected);
+            assert_eq!(parsed.suffix(), expected.suffix());
+            if modes.plan == PlanMode::Fixed {
+                assert_eq!(parsed.suffix(), modes.suffix());
+            }
+        }
     }
 
     #[test]

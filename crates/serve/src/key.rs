@@ -11,7 +11,7 @@
 //! spellings, and distinct under any single-field change.
 
 use capstan_bench::Suite;
-use capstan_core::config::{mem_record_suffix, MemAddressing, MemTiming, PlanMode};
+use capstan_core::config::{MemAddressing, MemTiming, PlanMode, RunModes};
 use capstan_sim::snapshot::{fnv1a_64, SnapshotWriter};
 
 /// Versioned domain tag mixed into every cache key; bump on any change
@@ -70,21 +70,41 @@ impl RunSpec {
         }
     }
 
-    /// The parsed suite, or a message for an invalid scale spec.
+    /// The run modes this spec simulates under. Fast-forward is not a
+    /// request field: it never changes a result, so the server's
+    /// workers always drain with the default.
+    pub fn modes(&self) -> RunModes {
+        RunModes {
+            timing: self.mem,
+            addresses: self.addresses,
+            channels: self.channels,
+            tenants: self.tenants,
+            plan: self.plan,
+            ..RunModes::default()
+        }
+    }
+
+    /// Sets the request fields [`RunSpec::modes`] reads.
+    pub fn set_modes(&mut self, modes: RunModes) {
+        self.mem = modes.timing;
+        self.addresses = modes.addresses;
+        self.channels = modes.channels;
+        self.tenants = modes.tenants;
+        self.plan = modes.plan;
+    }
+
+    /// The parsed suite, carrying this spec's modes, or a message for an
+    /// invalid scale spec.
     pub fn suite(&self) -> Result<Suite, String> {
-        Suite::parse(&self.scale)
+        let mut suite = Suite::parse(&self.scale)?;
+        suite.modes = self.modes();
+        Ok(suite)
     }
 
     /// The bench-row suffix this memory configuration runs under
-    /// (shared definition: [`mem_record_suffix`]).
+    /// (shared definition: [`RunModes::suffix`]).
     pub fn suffix(&self) -> String {
-        mem_record_suffix(
-            self.mem,
-            self.addresses,
-            self.channels,
-            self.tenants,
-            self.plan,
-        )
+        self.modes().suffix()
     }
 
     /// The bench-record row name this spec produces: the experiment

@@ -27,8 +27,8 @@
 //!   invocation with a `--resume` journal and a `--bench-out` record —
 //!   run concurrently under `capstan_par::par_map`, and their
 //!   `BENCH`-schema record groups merged via `capstan_bench::gate::merge`.
-//! * **Crash-safe workers**: each shard runs under the journal/checkpoint
-//!   machinery from the resumable-harness layer, so a killed worker is
+//! * **Crash-safe workers**: each shard runs under the resume journal
+//!   from the resumable-harness layer, so a killed worker is
 //!   respawned and *resumes* — journaled rows replay byte-for-byte
 //!   instead of recomputing.
 //!

@@ -52,7 +52,7 @@ use crate::key::RunSpec;
 use capstan_bench::experiments as exp;
 use capstan_bench::gate::BenchEntry;
 use capstan_bench::Suite;
-use capstan_core::config::{MemAddressing, MemTiming, PlanMode};
+use capstan_core::config::{PlanMode, RunModes};
 use capstan_tensor::stats::TensorStats;
 use std::io::Read;
 
@@ -69,10 +69,9 @@ pub const MAX_FRAME: usize = 4096;
 /// kilobytes; 16 MiB is paranoia headroom, not a target.
 pub const MAX_REPORT: usize = 16 << 20;
 
-/// Upper bound on `channels=` — matches the widest topology the memory
-/// model is exercised at, with headroom; a absurd channel count would
-/// otherwise make a worker allocate per-channel state unboundedly.
-pub const MAX_CHANNELS: usize = 1024;
+/// Upper bound on `channels=` — the same
+/// `capstan_core::config::MAX_CHANNELS` bound the CLI applies.
+pub const MAX_CHANNELS: usize = capstan_core::config::MAX_CHANNELS;
 
 /// Upper bound on `tenants=` — the driver's own
 /// `capstan_arch::memdrv::MAX_TENANTS` cap, re-validated at the wire so
@@ -213,10 +212,11 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
 /// Parses `SUBMIT` fields (any order, each at most once) into a
 /// [`RunSpec`], validating every value: the experiment name against the
 /// canonical list, the scale spec through [`Suite::parse`] (which
-/// rejects NaN/inf/non-positive factors), and the memory fields through
-/// their canonical-tag parsers.
+/// rejects NaN/inf/non-positive factors), and the mode fields through
+/// [`RunModes::set`], the parser the CLI shares.
 fn parse_submit(fields: &[&str]) -> Result<RunSpec, ProtoError> {
     let mut spec = RunSpec::new("");
+    let mut modes = RunModes::default();
     let mut seen_experiment = false;
     let mut seen = std::collections::HashSet::new();
     for field in fields {
@@ -243,46 +243,8 @@ fn parse_submit(fields: &[&str]) -> Result<RunSpec, ProtoError> {
                 Suite::parse(value).map_err(ProtoError::BadRequest)?;
                 spec.scale = value.to_string();
             }
-            "mem" => {
-                spec.mem = MemTiming::parse(value).ok_or_else(|| {
-                    ProtoError::BadRequest(format!(
-                        "unknown memory mode `{value}` (analytic|cycle)"
-                    ))
-                })?;
-            }
-            "addresses" => {
-                spec.addresses = MemAddressing::parse(value).ok_or_else(|| {
-                    ProtoError::BadRequest(format!(
-                        "unknown addressing mode `{value}` (synthetic|recorded)"
-                    ))
-                })?;
-            }
-            "channels" => {
-                spec.channels = value
-                    .parse()
-                    .ok()
-                    .filter(|n| (1..=MAX_CHANNELS).contains(n))
-                    .ok_or_else(|| {
-                        ProtoError::BadRequest(format!(
-                            "channels must be an integer in 1..={MAX_CHANNELS}, got `{value}`"
-                        ))
-                    })?;
-            }
-            "tenants" => {
-                spec.tenants = value
-                    .parse()
-                    .ok()
-                    .filter(|n| (1..=MAX_TENANTS).contains(n))
-                    .ok_or_else(|| {
-                        ProtoError::BadRequest(format!(
-                            "tenants must be an integer in 1..={MAX_TENANTS}, got `{value}`"
-                        ))
-                    })?;
-            }
-            "plan" => {
-                spec.plan = PlanMode::parse(value).ok_or_else(|| {
-                    ProtoError::BadRequest(format!("unknown plan mode `{value}` (fixed|auto)"))
-                })?;
+            "mem" | "addresses" | "channels" | "tenants" | "plan" => {
+                modes.set(key, value).map_err(ProtoError::BadRequest)?;
             }
             "stats" => {
                 if TensorStats::parse(value).is_none() {
@@ -306,6 +268,7 @@ fn parse_submit(fields: &[&str]) -> Result<RunSpec, ProtoError> {
             "SUBMIT needs an experiment= field".to_string(),
         ));
     }
+    spec.set_modes(modes);
     // Field-combination rules for planned submissions: `plan=auto`
     // delegates the memory configuration to the server, so it must
     // carry the statistics the planner needs and must not also spell a
@@ -572,6 +535,7 @@ impl<R: Read> FrameReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capstan_core::config::{MemAddressing, MemTiming};
 
     #[test]
     fn submit_fields_parse_in_any_order_with_defaults() {

@@ -9,9 +9,8 @@
 //! subprocess invocations with `--resume <journal>` and `--bench-out
 //! <record>`:
 //!
-//! * Per-request memory configuration needs no in-process plumbing —
-//!   the process-default setters (set-once by design) are set by each
-//!   worker's own command line.
+//! * Each worker's command line carries its group's run modes in their
+//!   canonical form (`RunModes::args`).
 //! * Crash safety is inherited from the resumable-harness layer: a
 //!   worker that dies mid-sweep is respawned with the same journal
 //!   directory and *resumes*, replaying completed rows byte-for-byte.
@@ -30,7 +29,7 @@ use crate::proto::{self, FrameReader, ProtoError, Request, MAGIC};
 use capstan_bench::experiments as exp;
 use capstan_bench::gate::{self, BenchRecord};
 use capstan_bench::journal::Journal;
-use capstan_core::config::{MemAddressing, MemTiming, PlanMode};
+use capstan_core::config::PlanMode;
 use capstan_plan::PlannedConfig;
 use capstan_tensor::stats::TensorStats;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -48,8 +47,8 @@ pub struct ServerConfig {
     /// `std::env::current_exe()` — the binary is both server and
     /// worker).
     pub worker_exe: PathBuf,
-    /// Scratch directory for per-shard journals, bench records, and
-    /// checkpoints (created on bind).
+    /// Scratch directory for per-shard journals and bench records
+    /// (created on bind).
     pub work_dir: PathBuf,
     /// Maximum worker processes per compatibility group.
     pub shards: usize,
@@ -66,9 +65,8 @@ pub struct ServerConfig {
     /// last, so it can override the server's own settings).
     pub worker_env: Vec<(String, String)>,
     /// Fault-injection test knob: arm exactly one worker spawn (the
-    /// first) with `CAPSTAN_FAULT_AFTER_CYCLES=<n>`, so it checkpoints,
-    /// kills itself mid-sweep, and exercises the respawn-and-resume
-    /// path.
+    /// first) with `CAPSTAN_FAULT_AFTER_CYCLES=<n>`, so it kills itself
+    /// mid-sweep and exercises the respawn-and-resume path.
     pub fault_first_worker: Option<u64>,
     /// Spawn attempts per shard before the jobs fail with
     /// [`ProtoError::WorkerFailed`].
@@ -452,15 +450,7 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     let mut groups: BTreeMap<String, Vec<Job>> = BTreeMap::new();
     for job in batch {
         let spec = &job.spec;
-        let compat = format!(
-            "{}\t{}\t{}\t{}\t{}\t{}",
-            spec.scale,
-            spec.mem.tag(),
-            spec.addresses.tag(),
-            spec.channels,
-            spec.tenants,
-            spec.plan.tag()
-        );
+        let compat = format!("{} {}", spec.scale, spec.modes().args().join(" "));
         groups.entry(compat).or_default().push(job);
     }
     for jobs in groups.into_values() {
@@ -573,26 +563,14 @@ fn run_shard(
     let mut last_err = String::new();
     for attempt in 0..attempts {
         let mut cmd = std::process::Command::new(&cfg.worker_exe);
-        cmd.args(names.iter()).arg("--scale").arg(&spec0.scale);
-        if spec0.mem == MemTiming::CycleLevel {
-            cmd.args(["--mem", "cycle"]);
-        }
-        if spec0.addresses == MemAddressing::Recorded {
-            cmd.args(["--mem-addresses", "recorded"]);
-        }
-        if spec0.channels > 1 {
-            cmd.arg("--mem-channels").arg(spec0.channels.to_string());
-        }
-        if spec0.tenants > 1 {
-            cmd.arg("--mem-tenants").arg(spec0.tenants.to_string());
-        }
-        if spec0.plan == PlanMode::Auto {
-            // The server already materialized the planned configuration
-            // into the flags above; the worker still needs the mode so
-            // its rows land in the `+plan` record group.
-            cmd.args(["--plan", "auto"]);
-        }
-        cmd.arg("--resume")
+        // The server already materialized a planned configuration into
+        // the spec's fields; its plan mode still rides along so the
+        // worker's rows land in the `+plan` record group.
+        cmd.args(names.iter())
+            .arg("--scale")
+            .arg(&spec0.scale)
+            .args(spec0.modes().args())
+            .arg("--resume")
             .arg(&journal_dir)
             .arg("--bench-out")
             .arg(&bench_path)
@@ -606,12 +584,10 @@ fn run_shard(
         // etc.) except the fault knob, which must only ever arm the one
         // spawn the test asked for.
         cmd.env_remove("CAPSTAN_FAULT_AFTER_CYCLES");
-        cmd.env("CAPSTAN_CHECKPOINT_DIR", dir.join("ckpt"));
         if attempt == 0 && cfg.fault_first_worker.is_some() {
             if let Some(n) = cfg.fault_first_worker {
                 if shared.fault_armed.swap(false, Ordering::SeqCst) {
                     cmd.env("CAPSTAN_FAULT_AFTER_CYCLES", n.to_string());
-                    cmd.env("CAPSTAN_CHECKPOINT_EVERY_CYCLES", "4096");
                 }
             }
         }
