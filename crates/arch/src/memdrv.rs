@@ -1195,8 +1195,8 @@ impl MemSysSim {
     }
 
     /// Publishes the finished batch's cycle accounting (adds the ticks
-    /// simulated since the last publication to the process-wide
-    /// simulated-cycle counter, exactly once per drained batch) and
+    /// simulated since the last publication to the calling thread's
+    /// simulated-cycle tally, exactly once per drained batch) and
     /// returns the statistics. [`MemSysSim::run`] calls this itself;
     /// callers driving the loop through [`MemSysSim::step`] call it
     /// once `step` returns `true`.

@@ -1,7 +1,9 @@
 //! Experiment implementations: one function per table/figure.
 //!
-//! Every function returns the formatted report it prints, so integration
-//! tests can assert on the reproduced shapes.
+//! Every function returns its formatted report and prints nothing, so
+//! integration tests can assert on the reproduced shapes and a served
+//! job leaves the server's stdout alone. [`run_measured`] is the one
+//! measured run the `experiments` CLI and the server share.
 //!
 //! The heavy sweeps — `record_and_simulate`'s `(dataset x config)`
 //! matrix, Table 4's 18 SpMU design points, Fig. 4's four ordering
@@ -40,8 +42,10 @@ use capstan_core::config::{CapstanConfig, MemAddressing, MemTiming, MemoryKind, 
 use capstan_core::perf::simulate;
 use capstan_core::program::{Workload, WorkloadBuilder};
 use capstan_core::report::PerfReport;
+use capstan_sim::stats::count_simulated_cycles;
 use capstan_tensor::gen::{Dataset, Structure};
 use std::fmt::Write as _;
+use std::time::Instant;
 
 fn header(title: &str) -> String {
     format!("\n=== {title} ===\n")
@@ -136,7 +140,6 @@ pub fn table4() -> String {
             cells[2]
         );
     }
-    print!("{out}");
     out
 }
 
@@ -163,7 +166,6 @@ pub fn table5() -> String {
         area::scanner_area_um2(256, 16),
         (1.0 - area::scanner_area_um2(256, 16) / area::scanner_area_um2(512, 16)) * 100.0
     );
-    print!("{out}");
     out
 }
 
@@ -199,7 +201,6 @@ pub fn table6(suite: &Suite) -> String {
             gen.nnz()
         );
     }
-    print!("{out}");
     out
 }
 
@@ -229,7 +230,6 @@ pub fn table7() -> String {
     ] {
         let _ = writeln!(out, "{k:<28} {v:>10.0}");
     }
-    print!("{out}");
     out
 }
 
@@ -269,7 +269,6 @@ pub fn table8() -> String {
         (capstan.total / plasticine.total - 1.0) * 100.0,
         (capstan.power_w / plasticine.power_w - 1.0) * 100.0
     );
-    print!("{out}");
     out
 }
 
@@ -342,7 +341,6 @@ pub fn table9(suite: &Suite) -> String {
         out,
         "(paper gmeans: Ideal 0.92, Hash 1.00, Lin 1.11, WA 1.15/1.26, Arb 1.27/1.44)"
     );
-    print!("{out}");
     out
 }
 
@@ -404,7 +402,6 @@ pub fn table10(suite: &Suite) -> String {
         gmean(&per_mode[1]),
         gmean(&per_mode[2])
     );
-    print!("{out}");
     out
 }
 
@@ -461,7 +458,6 @@ pub fn table11(suite: &Suite) -> String {
         out,
         "(paper: PR-Pull None 1.71/1.53, PR-Edge 1.30/1.21, Conv Mrg-0 1.07)"
     );
-    print!("{out}");
     out
 }
 
@@ -553,7 +549,6 @@ pub fn table12(suite: &Suite) -> String {
             row.gmean
         );
     }
-    print!("{out}");
     out
 }
 
@@ -672,7 +667,6 @@ pub fn table13(suite: &Suite) -> String {
             mr_s / capstan_s
         );
     }
-    print!("{out}");
     out
 }
 
@@ -767,7 +761,6 @@ pub fn table13_atomics(suite: &Suite) -> String {
         m.ag_bursts_fetched,
         m.ag_bursts_written,
     );
-    print!("{out}");
     out
 }
 
@@ -883,7 +876,6 @@ pub fn table13_recorded(suite: &Suite) -> String {
             m.ag_bursts_fetched,
         );
     }
-    print!("{out}");
     out
 }
 
@@ -951,7 +943,6 @@ pub fn table13_channels(suite: &Suite) -> String {
         anchors[1].cycles,
         anchors[0].cycles as f64 / anchors[1].cycles.max(1) as f64,
     );
-    print!("{out}");
     out
 }
 
@@ -1045,7 +1036,6 @@ pub fn table_multitenant(suite: &Suite) -> String {
             100.0 * t[0].occupancy_cycles as f64 / occ_total.max(1) as f64,
         );
     }
-    print!("{out}");
     out
 }
 
@@ -1095,7 +1085,6 @@ pub fn fig4() -> String {
             let _ = writeln!(out, "  cyc {:>4}: {}", cyc, row.join(""));
         }
     }
-    print!("{out}");
     out
 }
 
@@ -1130,7 +1119,6 @@ pub fn fig5a(suite: &Suite) -> String {
         }
         let _ = writeln!(out);
     }
-    print!("{out}");
     out
 }
 
@@ -1179,7 +1167,6 @@ pub fn fig5b(suite: &Suite) -> String {
         }
         let _ = writeln!(out);
     }
-    print!("{out}");
     out
 }
 
@@ -1218,7 +1205,6 @@ pub fn fig5c(suite: &Suite) -> String {
         out,
         "(paper: PREdge and COO see the best compression speedups)"
     );
-    print!("{out}");
     out
 }
 
@@ -1301,7 +1287,6 @@ pub fn fig6(suite: &Suite) -> String {
         }
         let _ = writeln!(out);
     }
-    print!("{out}");
     out
 }
 
@@ -1337,7 +1322,6 @@ pub fn fig7(suite: &Suite) -> String {
             );
         }
     }
-    print!("{out}");
     out
 }
 
@@ -1443,7 +1427,6 @@ pub fn ablations(suite: &Suite) -> String {
         let cy_off = capstan_arch::spmu::driver::run_vectors(off, &vectors).cycles as f64;
         let _ = writeln!(out, "  {name:<24} {:.2}x", cy_off / cy_on);
     }
-    print!("{out}");
     out
 }
 
@@ -1565,7 +1548,6 @@ pub fn extensions(suite: &Suite) -> String {
             csr_cycles / dcsr_cycles
         );
     }
-    print!("{out}");
     out
 }
 
@@ -1686,13 +1668,11 @@ fn planner_report(suite: &Suite, threads: Option<usize>) -> String {
 /// the acceptance bar — the planner picks the true winner on at least
 /// half the datasets — and the worst case is reported by name.
 pub fn planner(suite: &Suite) -> String {
-    let out = planner_report(suite, None);
-    print!("{out}");
-    out
+    planner_report(suite, None)
 }
 
-/// [`planner`] with an explicit worker count and no printing, for the
-/// thread-count determinism tests.
+/// [`planner`] with an explicit worker count, for the thread-count
+/// determinism tests.
 pub fn planner_with_threads(suite: &Suite, threads: usize) -> String {
     planner_report(suite, Some(threads))
 }
@@ -1753,6 +1733,30 @@ pub fn run_by_name(name: &str, suite: &Suite) -> Option<String> {
         "extensions" => extensions(suite),
         "planner" => planner(suite),
         _ => return None,
+    })
+}
+
+/// One experiment's measured run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Measured {
+    /// The report text.
+    pub report: String,
+    /// Wall-clock seconds the run took.
+    pub wall_seconds: f64,
+    /// Simulated cycles the run recorded (see `capstan_sim::stats`).
+    pub simulated_cycles: u64,
+}
+
+/// Runs one experiment by name under its own cycle tally and wall
+/// clock (`None` for an unknown name). The `experiments` CLI and the
+/// server both measure runs with this.
+pub fn run_measured(name: &str, suite: &Suite) -> Option<Measured> {
+    let start = Instant::now();
+    let (report, simulated_cycles) = count_simulated_cycles(|| run_by_name(name, suite));
+    Some(Measured {
+        report: report?,
+        wall_seconds: start.elapsed().as_secs_f64(),
+        simulated_cycles,
     })
 }
 

@@ -204,8 +204,8 @@ impl RunModes {
     /// never changes simulated cycles. Rows with different suffixes
     /// form separate record groups (their simulated cycles
     /// intentionally differ), so every place that names a row — the
-    /// `experiments` CLI, its resume journal, and the serving layer's
-    /// shard/merge protocol — derives it here.
+    /// `experiments` CLI, its resume journal, and the serving layer —
+    /// derives it here.
     pub fn suffix(&self) -> String {
         let mut suffix = String::new();
         if self.timing == MemTiming::CycleLevel {
@@ -224,24 +224,6 @@ impl RunModes {
             suffix.push_str("+plan");
         }
         suffix
-    }
-
-    /// The canonical command line for these modes: every flag of
-    /// [`RunModes::FLAGS`] with its value, in that order.
-    pub fn args(&self) -> Vec<String> {
-        let values = [
-            self.timing.tag().to_string(),
-            self.addresses.tag().to_string(),
-            self.channels.to_string(),
-            self.tenants.to_string(),
-            if self.fast_forward { "on" } else { "off" }.to_string(),
-            self.plan.tag().to_string(),
-        ];
-        Self::FLAGS
-            .iter()
-            .zip(values)
-            .flat_map(|(&(flag, _), value)| [flag.to_string(), value])
-            .collect()
     }
 
     /// Parses `value` into the field whose wire key (see

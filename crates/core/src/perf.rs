@@ -103,8 +103,8 @@
 //! key wait on one replay, and callers with different keys never
 //! serialize.
 //!
-//! Results are bit-identical with or without a hit. So is the
-//! process-wide simulated-cycle count: [`run_vectors`] records its
+//! Results are bit-identical with or without a hit. So is the run's
+//! simulated-cycle count (`capstan_sim::stats`): [`run_vectors`] records its
 //! cycles when it runs, and a hit records the cached replay cycles
 //! again, so every `simulate` call adds the same count either way.
 
@@ -217,48 +217,6 @@ impl Clone for StageMemo {
     fn clone(&self) -> Self {
         StageMemo::default()
     }
-}
-
-/// Step-chunk size of the drain while a fault is armed: small enough
-/// that the injected fault lands mid-drain.
-const FAULT_CHUNK_CYCLES: u64 = 4096;
-
-/// Fault injection for the cycle-level drain, read once from
-/// `CAPSTAN_FAULT_AFTER_CYCLES`: once the process-wide simulated-cycle
-/// total (plus the in-progress batch) reaches it, the process prints a
-/// diagnostic and exits with code 43, simulating a mid-experiment crash
-/// for the kill-and-resume CI job. With worker threads the crossing is
-/// detected at chunk granularity, so the exact exit point is
-/// approximate — the resume contract never depends on *where* a run
-/// died, only that the journal already holds every completed row.
-fn fault_after_cycles() -> Option<u64> {
-    static FAULT_AFTER: OnceLock<Option<u64>> = OnceLock::new();
-    *FAULT_AFTER.get_or_init(|| {
-        std::env::var("CAPSTAN_FAULT_AFTER_CYCLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    })
-}
-
-/// Drains `msim` to completion. Without an armed fault this is exactly
-/// [`MemSysSim::run`]; with one the same drain runs in bounded
-/// [`MemSysSim::step`] chunks (bit-identical by the step contract) so
-/// the injected fault lands mid-run.
-fn drive_memsys(msim: &mut MemSysSim) -> MemStats {
-    let Some(limit) = fault_after_cycles() else {
-        return msim.run();
-    };
-    let base = capstan_sim::stats::simulated_cycles();
-    while !msim.step(FAULT_CHUNK_CYCLES) {
-        if base + msim.cycle() >= limit {
-            eprintln!(
-                "capstan: injected fault after {} simulated cycles (CAPSTAN_FAULT_AFTER_CYCLES)",
-                base + msim.cycle()
-            );
-            std::process::exit(43);
-        }
-    }
-    msim.finish_run()
 }
 
 /// Synthetic (ideal-memory) cycle analysis of one tile.
@@ -609,7 +567,7 @@ pub fn simulate(workload: &Workload, cfg: &CapstanConfig) -> PerfReport {
                         }
                         msim.add_tile(traffic);
                     }
-                    let stats = drive_memsys(msim);
+                    let stats = msim.run();
                     let tenant_stats: Vec<TenantStats> = (0..msim.tenants())
                         .map(|t| msim.tenant_stats(TenantId(t)))
                         .collect();
@@ -639,7 +597,7 @@ pub fn simulate(workload: &Workload, cfg: &CapstanConfig) -> PerfReport {
         sram: sram.round() as u64,
         dram: dram.round() as u64,
     };
-    // Note: the process-wide simulated-cycle counter is NOT bumped with
+    // Note: the run's simulated-cycle tally is NOT bumped with
     // this modeled total. In both timing modes the genuinely simulated
     // ticks are recorded by the engines that produced them — the SpMU
     // replays inside `sram_replays` (re-recorded on a memo hit) and, under

@@ -24,6 +24,10 @@
 //! calls `f` in index order, so `par_map` with one thread is
 //! *observably identical* to a plain `iter().map().collect()`, a
 //! property the regression tests rely on.
+//!
+//! Workers run under the caller's simulated-cycle tally
+//! ([`capstan_sim::stats::current_tally`]), so cycles simulated on a
+//! worker count towards the run that asked for them.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -50,7 +54,8 @@ pub fn thread_count(items: usize) -> usize {
 ///
 /// Equivalent to `items.iter().map(f).collect()` up to execution
 /// interleaving: `f` must therefore be independent per item (no
-/// order-dependent side effects). Panics in `f` propagate.
+/// order-dependent side effects). A panic in `f` propagates with its
+/// original payload.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     par_map_threads(items, thread_count(items.len()), f)
 }
@@ -68,25 +73,31 @@ pub fn par_map_threads<T: Sync, R: Send>(
     }
 
     let cursor = AtomicUsize::new(0);
+    let tally = capstan_sim::stats::current_tally();
     let mut buckets: Vec<Vec<(usize, R)>> = Vec::with_capacity(threads);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
+                    tally.enter(|| {
+                        let mut local: Vec<(usize, R)> = Vec::new();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= items.len() {
+                                break;
+                            }
+                            local.push((i, f(&items[i])));
                         }
-                        local.push((i, f(&items[i])));
-                    }
-                    local
+                        local
+                    })
                 })
             })
             .collect();
         for handle in handles {
-            buckets.push(handle.join().expect("par_map worker panicked"));
+            match handle.join() {
+                Ok(local) => buckets.push(local),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
     });
 
@@ -144,7 +155,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "worker panicked")]
+    #[should_panic(expected = "boom")]
     fn propagates_panics() {
         let items: Vec<u32> = (0..64).collect();
         let _ = par_map_threads(&items, 4, |&i| {
@@ -153,6 +164,33 @@ mod tests {
             }
             i
         });
+    }
+
+    #[test]
+    fn a_panicking_items_message_survives_the_worker_threads() {
+        let items: Vec<u32> = (0..64).collect();
+        let payload = std::panic::catch_unwind(|| {
+            par_map_threads(&items, 4, |&i| {
+                if i == 13 {
+                    panic!("item {i} failed");
+                }
+                i
+            })
+        })
+        .expect_err("the panic propagates");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("item 13 failed")
+        );
+    }
+
+    #[test]
+    fn workers_count_cycles_towards_the_callers_tally() {
+        use capstan_sim::stats::{count_simulated_cycles, record_simulated_cycles};
+        let items: Vec<u64> = (1..=100).collect();
+        let (_, cycles) =
+            count_simulated_cycles(|| par_map_threads(&items, 4, |&n| record_simulated_cycles(n)));
+        assert_eq!(cycles, 5050);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!             [--mem-fastforward on|off]
 //!             [--bench-out PATH] [--bench-base PATH] [--no-bench-out]
 //!             [--resume DIR]
-//! experiments --serve ADDR [--serve-shards N] [--serve-workdir DIR]
+//! experiments --serve ADDR
 //! experiments [NAMES...] --submit ADDR [--scale ...] [--mem ...]
 //!             [--mem-addresses ...] [--mem-channels N]
 //! experiments --serve-stats ADDR | --serve-shutdown ADDR
@@ -106,17 +106,22 @@
 //! enforces this). A journal written under different `--scale` /
 //! suffix flags is rejected loudly.
 //!
+//! `CAPSTAN_FAULT_AFTER_CYCLES=N` injects a crash: once the cycles
+//! this invocation simulated reach `N`, the binary prints a diagnostic
+//! and exits 43 right after the experiment that crossed the line —
+//! before journaling or printing it, so the journal is left as a kill
+//! during that experiment would leave it.
+//!
 //! `--serve ADDR` turns the binary into the simulation service
 //! (`capstan_serve`): it binds `ADDR`, prints
 //! `capstan-serve listening on <addr>` once ready, and answers
-//! newline-framed requests — batching compatible submissions, caching
-//! results content-addressed, and sharding batches across worker
-//! subprocesses (which are plain `--resume`/`--bench-out` invocations
-//! of this same binary). `--submit ADDR` is the matching client: it
-//! submits the named experiments (with the usual `--scale`/`--mem`/...
-//! flags describing the *request*, not this process) and prints the
-//! returned reports in command-line order — byte-identical to running
-//! the same experiments directly. `--serve-stats` prints the server's
+//! newline-framed requests — caching results content-addressed and
+//! running each fresh one in the server process, through the same
+//! measured run as a direct invocation. `--submit ADDR` is the matching
+//! client: it submits the named experiments (with the usual
+//! `--scale`/`--mem`/... flags describing the *request*, not this
+//! process) and prints the returned reports in command-line order —
+//! byte-identical to running the same experiments directly. `--serve-stats` prints the server's
 //! counters as `k=v` lines; `--serve-shutdown` stops it.
 
 use capstan_bench::experiments as exp;
@@ -128,14 +133,13 @@ use capstan_serve::key::RunSpec;
 use capstan_serve::server::{Server, ServerConfig};
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::time::Instant;
 
 const USAGE: &str = "usage: experiments [NAMES...] \
 [--scale small|medium|large|la=F,graph=F,spmspm=F,conv=F] \
 [--mem analytic|cycle] [--mem-addresses synthetic|recorded] [--mem-channels N] \
 [--mem-tenants N] [--mem-fastforward on|off] [--plan fixed|auto] [--bench-out PATH] \
 [--bench-base PATH] [--no-bench-out] [--resume DIR]
-       experiments --serve ADDR [--serve-shards N] [--serve-workdir DIR]
+       experiments --serve ADDR
        experiments [NAMES...] --submit ADDR [--scale SPEC] [--mem MODE] \
 [--mem-addresses MODE] [--mem-channels N] [--mem-tenants N] [--plan fixed|auto]
        experiments --serve-stats ADDR
@@ -168,10 +172,6 @@ struct Cli {
     serve_stats: Option<String>,
     /// `--serve-shutdown` server address.
     serve_shutdown: Option<String>,
-    /// `--serve-shards` worker-process cap per batch group.
-    serve_shards: Option<usize>,
-    /// `--serve-workdir` scratch-directory override.
-    serve_workdir: Option<String>,
 }
 
 /// Parses the argument list. Unknown `--flags`, flags missing their
@@ -215,14 +215,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--submit" => cli.submit = Some(value("--submit", &mut it)?),
             "--serve-stats" => cli.serve_stats = Some(value("--serve-stats", &mut it)?),
             "--serve-shutdown" => cli.serve_shutdown = Some(value("--serve-shutdown", &mut it)?),
-            "--serve-shards" => {
-                let raw = value("--serve-shards", &mut it)?;
-                let n: usize = raw.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                    format!("--serve-shards needs a positive integer, got `{raw}`")
-                })?;
-                cli.serve_shards = Some(n);
-            }
-            "--serve-workdir" => cli.serve_workdir = Some(value("--serve-workdir", &mut it)?),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag `{other}`"));
             }
@@ -254,9 +246,6 @@ fn check_modes(cli: &Cli) -> Result<(), String> {
         .collect();
     if picked.len() > 1 {
         return Err(format!("{} are mutually exclusive", picked.join(" and ")));
-    }
-    if (cli.serve_shards.is_some() || cli.serve_workdir.is_some()) && cli.serve.is_none() {
-        return Err("--serve-shards/--serve-workdir only apply with --serve".to_string());
     }
     if cli.serve.is_some() || cli.serve_stats.is_some() || cli.serve_shutdown.is_some() {
         let mode = picked[0];
@@ -292,8 +281,8 @@ fn check_modes(cli: &Cli) -> Result<(), String> {
     // server (the protocol enforces the same rule on the wire); a
     // hand-spelled configuration alongside `--plan auto` would be
     // silently overridden by the planner. Direct (local) runs keep the
-    // combination: the server's own workers are spawned with the
-    // materialized flags plus `--plan auto` for the row suffix.
+    // combination: it is what the server runs once it has materialized
+    // a plan, with `--plan auto` naming the row group.
     if cli.submit.is_some()
         && cli.modes.plan == PlanMode::Auto
         && ["mem", "addresses", "channels"]
@@ -368,43 +357,12 @@ fn bench_json(scale: &str, records: &[BenchEntry]) -> String {
     json
 }
 
-/// A fresh bench row: the suffixed name plus the computed throughput
-/// (zero for experiments whose wall time rounds to zero).
-fn entry_row(name: &str, suffix: &str, wall_seconds: f64, simulated_cycles: u64) -> BenchEntry {
-    BenchEntry {
-        name: format!("{name}{suffix}"),
-        wall_seconds,
-        simulated_cycles,
-        cycles_per_second: if wall_seconds > 0.0 {
-            simulated_cycles as f64 / wall_seconds
-        } else {
-            0.0
-        },
-    }
-}
-
 /// `--serve`: bind, announce readiness on stdout, run until a shutdown
 /// request.
 fn run_server(cli: &Cli) -> ! {
     let addr = cli.serve.as_deref().expect("serve mode");
-    // The server and its workers are the same binary — the service
-    // needs no second executable, and a worker trivially agrees with
-    // its server about report and record formats.
-    let worker_exe = std::env::current_exe()
-        .unwrap_or_else(|e| die(&format!("cannot locate the worker binary: {e}")));
-    let work_dir = cli
-        .serve_workdir
-        .as_deref()
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("capstan-serve-{}", std::process::id()))
-        });
-    let mut config = ServerConfig::new(worker_exe, work_dir);
-    if let Some(n) = cli.serve_shards {
-        config.shards = n;
-    }
-    let server =
-        Server::bind(addr, config).unwrap_or_else(|e| die(&format!("cannot bind {addr}: {e}")));
+    let server = Server::bind(addr, ServerConfig::default())
+        .unwrap_or_else(|e| die(&format!("cannot bind {addr}: {e}")));
     let local = server
         .local_addr()
         .unwrap_or_else(|e| die(&format!("cannot read the bound address: {e}")));
@@ -447,8 +405,8 @@ fn run_submit(cli: &Cli) -> ! {
             spec
         })
         .collect();
-    // Concurrent submissions land in the server's linger window and
-    // batch into one sweep; reports still print in input order.
+    // Submissions run concurrently on the server; reports still print
+    // in input order.
     let threads = specs.len().clamp(1, 16);
     let results =
         capstan_par::par_map_threads(&specs, threads, |spec| client::submit(addr, spec, None));
@@ -550,6 +508,10 @@ fn main() {
         }
     });
 
+    let fault_after: Option<u64> = std::env::var("CAPSTAN_FAULT_AFTER_CYCLES")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    let mut simulated = 0u64;
     let mut records: Vec<BenchEntry> = Vec::new();
     let mut failed = false;
     for name in &expanded {
@@ -563,36 +525,41 @@ fn main() {
                 Err(e) => die(&e),
             };
             print!("{report}");
-            records.push(entry_row(
-                name,
-                &suffix,
+            records.push(BenchEntry::new(
+                format!("{name}{suffix}"),
                 entry.wall_seconds,
                 entry.simulated_cycles,
             ));
             continue;
         }
-        let cycles_before = capstan_sim::stats::simulated_cycles();
-        let start = Instant::now();
-        match exp::run_by_name(name, &suite) {
-            Some(report) => {
-                let wall_seconds = start.elapsed().as_secs_f64();
-                let simulated_cycles = capstan_sim::stats::simulated_cycles() - cycles_before;
-                if let Some(j) = journal.as_mut() {
-                    let entry = capstan_bench::journal::JournalEntry {
-                        wall_seconds,
-                        simulated_cycles,
-                    };
-                    if let Err(e) = j.record(name, entry, &report) {
-                        die(&e);
-                    }
-                }
-                records.push(entry_row(name, &suffix, wall_seconds, simulated_cycles));
-            }
-            None => {
-                eprintln!("unknown experiment `{name}`");
-                failed = true;
+        let Some(run) = exp::run_measured(name, &suite) else {
+            eprintln!("unknown experiment `{name}`");
+            failed = true;
+            continue;
+        };
+        simulated += run.simulated_cycles;
+        if fault_after.is_some_and(|limit| simulated >= limit) {
+            eprintln!(
+                "experiments: injected fault after {simulated} simulated cycles \
+                 (CAPSTAN_FAULT_AFTER_CYCLES)"
+            );
+            std::process::exit(43);
+        }
+        print!("{}", run.report);
+        if let Some(j) = journal.as_mut() {
+            let entry = capstan_bench::journal::JournalEntry {
+                wall_seconds: run.wall_seconds,
+                simulated_cycles: run.simulated_cycles,
+            };
+            if let Err(e) = j.record(name, entry, &run.report) {
+                die(&e);
             }
         }
+        records.push(BenchEntry::new(
+            format!("{name}{suffix}"),
+            run.wall_seconds,
+            run.simulated_cycles,
+        ));
     }
 
     // Seed the record with an existing baseline's rows (same-name rows
@@ -730,8 +697,6 @@ mod tests {
             "--submit",
             "--serve-stats",
             "--serve-shutdown",
-            "--serve-shards",
-            "--serve-workdir",
         ] {
             let err = parse_args(&args(&[flag])).unwrap_err();
             assert!(err.contains("needs a value"), "{flag}: {err}");
@@ -761,7 +726,6 @@ mod tests {
         assert!(parse_args(&args(&["--mem-tenants", "0"])).is_err());
         assert!(parse_args(&args(&["--mem-tenants", "99"])).is_err());
         assert!(parse_args(&args(&["--mem-fastforward", "maybe"])).is_err());
-        assert!(parse_args(&args(&["--serve", "a:1", "--serve-shards", "0"])).is_err());
     }
 
     #[test]
@@ -781,9 +745,6 @@ mod tests {
         assert!(err.contains("takes no run flags"), "{err}");
         let err = parse_args(&args(&["--serve-stats", "a:1", "--scale", "small"])).unwrap_err();
         assert!(err.contains("takes no run flags"), "{err}");
-        // The serve tuning flags only mean something to a server.
-        let err = parse_args(&args(&["fig7", "--serve-shards", "2"])).unwrap_err();
-        assert!(err.contains("only apply with --serve"), "{err}");
     }
 
     #[test]
@@ -818,8 +779,8 @@ mod tests {
         assert_eq!(cli.modes.plan, PlanMode::Auto);
         assert!(parse_args(&args(&["--plan", "maybe"])).is_err());
         assert!(parse_args(&args(&["--plan"])).is_err());
-        // Direct runs may combine --plan auto with memory flags (the
-        // server's own workers do exactly that); submissions may not.
+        // Direct runs may combine --plan auto with memory flags (that is
+        // what the server runs after planning); submissions may not.
         assert!(parse_args(&args(&["fig7", "--plan", "auto", "--mem-channels", "4"])).is_ok());
         for bad in [
             vec![
@@ -884,17 +845,6 @@ mod tests {
             }
         }
         all
-    }
-
-    #[test]
-    fn run_modes_round_trip_through_the_canonical_flags() {
-        // What a server worker's command line (`RunModes::args`) says is
-        // exactly what the worker parses, and names the same row group.
-        for modes in every_mode_combination() {
-            let cli = parse_args(&modes.args()).unwrap();
-            assert_eq!(cli.modes, modes);
-            assert_eq!(cli.modes.suffix(), modes.suffix());
-        }
     }
 
     #[test]

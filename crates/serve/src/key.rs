@@ -18,8 +18,8 @@ use capstan_sim::snapshot::{fnv1a_64, SnapshotWriter};
 /// to the canonical encoding so stale keys can never alias new ones.
 const KEY_TAG: &str = "capstan-serve-key/v3";
 
-/// One fully specified experiment request: the unit the server queues,
-/// batches, caches, and shards.
+/// One fully specified experiment request: the unit the server keys,
+/// caches, and runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// Experiment name (`table4` ... `extensions`); validated against
@@ -27,8 +27,8 @@ pub struct RunSpec {
     pub experiment: String,
     /// Suite scale: a named preset or the custom
     /// `la=F,graph=F,spmspm=F,conv=F` form (see [`Suite::parse`]). The
-    /// raw spelling is kept — it is what worker command lines and
-    /// journal headers carry — but the cache key hashes the *parsed*
+    /// raw spelling is kept — it is what command lines and journal
+    /// headers carry — but the cache key hashes the *parsed*
     /// fingerprint, so `0.5` and `5e-1` address the same result.
     pub scale: String,
     /// DRAM timing mode (`--mem`).
@@ -71,8 +71,8 @@ impl RunSpec {
     }
 
     /// The run modes this spec simulates under. Fast-forward is not a
-    /// request field: it never changes a result, so the server's
-    /// workers always drain with the default.
+    /// request field: it never changes a result, so served jobs always
+    /// drain with the default.
     pub fn modes(&self) -> RunModes {
         RunModes {
             timing: self.mem,

@@ -2,10 +2,10 @@
 
 //! # capstan-serve
 //!
-//! Simulation-as-a-service: a batched, content-addressed experiment
-//! server over plain threaded TCP (std-only — this workspace builds
-//! fully offline, so there is no async runtime and no serialization
-//! dependency; the wire protocol is newline-framed text).
+//! Simulation-as-a-service: a content-addressed experiment server over
+//! plain threaded TCP (std-only — this workspace builds fully offline,
+//! so there is no async runtime and no serialization dependency; the
+//! wire protocol is newline-framed text).
 //!
 //! Capstan's simulated-cycle counts are deterministic and
 //! machine-independent — the repo pins them with golden tests and a CI
@@ -21,16 +21,12 @@
 //!   simulator's checkpoint `config_hash`. A repeated request is served
 //!   from the cache without touching a core; concurrent duplicates
 //!   coalesce onto one in-flight job.
-//! * **Batching and sharding** ([`server`]): compatible queued requests
-//!   (same scale and memory configuration) are drained into one batch,
-//!   split across worker *processes* — each a plain `experiments`
-//!   invocation with a `--resume` journal and a `--bench-out` record —
-//!   run concurrently under `capstan_par::par_map`, and their
-//!   `BENCH`-schema record groups merged via `capstan_bench::gate::merge`.
-//! * **Crash-safe workers**: each shard runs under the resume journal
-//!   from the resumable-harness layer, so a killed worker is
-//!   respawned and *resumes* — journaled rows replay byte-for-byte
-//!   instead of recomputing.
+//! * **In-process jobs** ([`server`]): a fresh request runs on its
+//!   connection's handler thread through
+//!   `capstan_bench::experiments::run_measured`, the measured run the
+//!   CLI makes, with its modes in its own `Suite` and its simulated
+//!   cycles in its own tally. A panicking job fails its waiters with a
+//!   typed error and leaves the server serving.
 //!
 //! The `experiments` binary (which lives in this crate so it can be
 //! both the first server and the first client) exposes the whole layer

@@ -75,7 +75,7 @@ pub const MAX_CHANNELS: usize = capstan_core::config::MAX_CHANNELS;
 
 /// Upper bound on `tenants=` — the driver's own
 /// `capstan_arch::memdrv::MAX_TENANTS` cap, re-validated at the wire so
-/// a bad count is a typed request error instead of a worker panic.
+/// a bad count is a typed request error instead of a job panic.
 pub const MAX_TENANTS: usize = capstan_core::config::MAX_TENANTS;
 
 /// A parsed request frame.
@@ -110,7 +110,7 @@ pub enum ProtoError {
     Truncated,
     /// The peer stalled past the read timeout.
     Timeout,
-    /// A worker process failed permanently (after retries).
+    /// The job failed while running (it panicked).
     WorkerFailed(String),
     /// A server-side invariant broke (unreachable in healthy runs).
     Internal(String),

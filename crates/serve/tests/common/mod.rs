@@ -1,8 +1,8 @@
 //! Shared harness for the black-box service tests: locating the
 //! `experiments` binary, running it as a subprocess with a controlled
-//! environment (the tests never mutate the test process's own env —
-//! process-default config is set-once and shared across test threads),
-//! and driving a server subprocess through its readiness line.
+//! environment (the tests never mutate the test process's own env,
+//! which every test thread shares), and driving a server subprocess
+//! through its readiness line.
 
 #![allow(dead_code)] // each test file uses a different helper subset
 
@@ -41,31 +41,24 @@ pub fn run_ok(args: &[&str], envs: &[(&str, &str)]) -> Vec<u8> {
     out.stdout
 }
 
-/// A server subprocess, killed on drop. `envs` apply to the server and
-/// are inherited by its workers.
+/// A server subprocess, killed on drop. `envs` apply to the server,
+/// which runs every job in its own process.
 pub struct ServerProc {
     child: Option<Child>,
     /// The bound address parsed from the readiness line.
     pub addr: String,
-    workdir: PathBuf,
 }
 
 impl ServerProc {
     /// Starts `experiments --serve 127.0.0.1:0` and waits for the
-    /// readiness line on stdout.
+    /// readiness line on stdout (`tag` names the server in failures).
     pub fn start(tag: &str, envs: &[(&str, &str)]) -> ServerProc {
         use std::io::BufRead;
-        let workdir = tmpdir(tag);
         let mut cmd = Command::new(bin());
-        cmd.args([
-            "--serve",
-            "127.0.0.1:0",
-            "--serve-workdir",
-            workdir.to_str().expect("utf-8 path"),
-        ])
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit());
+        cmd.args(["--serve", "127.0.0.1:0"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit());
         for (k, v) in envs {
             cmd.env(k, v);
         }
@@ -78,12 +71,11 @@ impl ServerProc {
         let addr = line
             .trim()
             .strip_prefix("capstan-serve listening on ")
-            .unwrap_or_else(|| panic!("unexpected readiness line: {line:?}"))
+            .unwrap_or_else(|| panic!("{tag}: unexpected readiness line: {line:?}"))
             .to_string();
         ServerProc {
             child: Some(child),
             addr,
-            workdir,
         }
     }
 
@@ -110,6 +102,5 @@ impl Drop for ServerProc {
             let _ = child.kill();
             let _ = child.wait();
         }
-        let _ = std::fs::remove_dir_all(&self.workdir);
     }
 }

@@ -8,7 +8,6 @@ use capstan_serve::client;
 use capstan_serve::key::RunSpec;
 use capstan_serve::server::{Server, ServerConfig};
 use proptest::prelude::*;
-use std::path::PathBuf;
 
 fn counters(addr: &str) -> std::collections::HashMap<String, u64> {
     client::stats(addr).expect("stats").into_iter().collect()
@@ -17,9 +16,7 @@ fn counters(addr: &str) -> std::collections::HashMap<String, u64> {
 #[test]
 fn concurrent_identical_submissions_simulate_once() {
     const N: usize = 8;
-    let workdir = common::tmpdir("dedup");
-    let config = ServerConfig::new(PathBuf::from(common::bin()), workdir.clone());
-    let handle = Server::bind("127.0.0.1:0", config)
+    let handle = Server::bind("127.0.0.1:0", ServerConfig::default())
         .expect("bind")
         .spawn()
         .expect("spawn");
@@ -51,7 +48,7 @@ fn concurrent_identical_submissions_simulate_once() {
     assert!(!replies[0].report.is_empty());
 
     // Exactly one simulation, by the server's own accounting: one miss
-    // reached a core, one worker was spawned, and the other N-1
+    // reached a core, and the other N-1
     // requests either coalesced onto the in-flight job or hit the
     // completed cache (the split depends on arrival timing).
     let stats = counters(&addr);
@@ -60,13 +57,11 @@ fn concurrent_identical_submissions_simulate_once() {
         stats["misses"], 1,
         "more than one simulation ran: {stats:?}"
     );
-    assert_eq!(stats["worker_spawns"], 1, "{stats:?}");
     assert_eq!(
         stats["cache_hits"] + stats["coalesced"],
         (N - 1) as u64,
         "{stats:?}"
     );
-    assert_eq!(stats["batches"], 1, "{stats:?}");
     assert_eq!(stats["errors"], 0, "{stats:?}");
 
     // A late duplicate is a pure cache hit.
@@ -75,11 +70,9 @@ fn concurrent_identical_submissions_simulate_once() {
     assert_eq!(late.report, replies[0].report);
     let stats = counters(&addr);
     assert_eq!(stats["misses"], 1);
-    assert_eq!(stats["worker_spawns"], 1);
 
     client::shutdown(&addr).expect("shutdown");
     handle.join().expect("server exit");
-    let _ = std::fs::remove_dir_all(&workdir);
 }
 
 /// Canonical key with the given custom-scale factor spellings.

@@ -1,31 +1,84 @@
-//! Statistics primitives shared by every unit simulator.
+//! Statistics primitives shared by every unit simulator, and the
+//! per-run simulated-cycle tally.
+//!
+//! # The cycle tally
+//!
+//! A run's *simulated cycles* are the cycle-level cycles it attributes
+//! to itself (SpMU replays, throughput drivers, traces, the cycle-level
+//! memory drain). Analytic model totals (`capstan_core::perf::simulate`'s
+//! breakdown) are deliberately excluded — they would double-count the
+//! embedded replays and change units whenever the model changes.
+//! Drivers call [`record_simulated_cycles`] once per measurement, so the
+//! per-cycle hot loops stay untouched.
+//!
+//! The count goes to the tally [`count_simulated_cycles`] installed on
+//! the calling thread, and nowhere when none is installed. Helper
+//! threads join their caller's tally through [`current_tally`] and
+//! [`CycleTally::enter`] (`capstan_par` does this for every worker), so
+//! two runs in one process — e.g. two served jobs — never see each
+//! other's cycles. The experiment harness counts each experiment this
+//! way to report *simulated cycles per wall second* in
+//! `BENCH_core.json`.
+//!
+//! The count is of replay cycles *attributed to a run*, not of ticks
+//! executed: `capstan_core::perf::simulate` memoizes SpMU replays per
+//! workload, and a memo hit records the cached replay's cycles again,
+//! so a run's count does not depend on which calls came before it.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Process-wide count of *cycle-level* simulated cycles (SpMU replays,
-/// throughput drivers, traces), across every engine and thread.
-/// Analytic model totals (`capstan_core::perf::simulate`'s breakdown)
-/// are deliberately excluded — they would double-count the embedded
-/// replays and change units whenever the model changes. Drivers add
-/// their cycle totals once per run (a single atomic add per
-/// measurement, so the per-cycle hot loops stay untouched); the
-/// experiment harness samples the counter around each experiment to
-/// report *simulated cycles per wall second* in `BENCH_core.json`.
-///
-/// The count is of replay cycles *attributed to a run*, not of ticks
-/// executed: `capstan_core::perf::simulate` memoizes SpMU replays per
-/// workload, and a memo hit records the cached replay's cycles again,
-/// so a run's count does not depend on which calls came before it.
-static SIMULATED_CYCLES: AtomicU64 = AtomicU64::new(0);
-
-/// Adds `n` simulated cycles to the process-wide total.
-pub fn record_simulated_cycles(n: u64) {
-    SIMULATED_CYCLES.fetch_add(n, Ordering::Relaxed);
+thread_local! {
+    static TALLY: RefCell<CycleTally> = const { RefCell::new(CycleTally(None)) };
 }
 
-/// The process-wide simulated-cycle total so far.
-pub fn simulated_cycles() -> u64 {
-    SIMULATED_CYCLES.load(Ordering::Relaxed)
+/// A handle on the simulated-cycle tally a thread adds to (or on no
+/// tally). Cloning shares the tally.
+#[derive(Debug, Clone, Default)]
+pub struct CycleTally(Option<Arc<AtomicU64>>);
+
+impl CycleTally {
+    /// Runs `f` with this tally installed on the calling thread, then
+    /// restores the thread's previous tally (also when `f` panics).
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore(CycleTally);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                let previous = std::mem::take(&mut self.0);
+                TALLY.with(|t| *t.borrow_mut() = previous);
+            }
+        }
+        let _restore = Restore(TALLY.with(|t| t.replace(self.clone())));
+        f()
+    }
+}
+
+/// The tally installed on the calling thread, for handing to the
+/// threads that work on its behalf.
+pub fn current_tally() -> CycleTally {
+    TALLY.with(|t| t.borrow().clone())
+}
+
+/// Adds `n` simulated cycles to the calling thread's tally (a no-op
+/// when none is installed).
+pub fn record_simulated_cycles(n: u64) {
+    TALLY.with(|t| {
+        if let Some(count) = &t.borrow().0 {
+            count.fetch_add(n, Ordering::Relaxed);
+        }
+    });
+}
+
+/// Runs `f` under a fresh tally and returns its result with the
+/// simulated cycles it recorded. Nested counts also add to the
+/// enclosing tally.
+pub fn count_simulated_cycles<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let count = Arc::new(AtomicU64::new(0));
+    let result = CycleTally(Some(Arc::clone(&count))).enter(f);
+    let cycles = count.load(Ordering::Relaxed);
+    record_simulated_cycles(cycles);
+    (result, cycles)
 }
 
 /// A monotonically increasing event counter.
@@ -172,6 +225,46 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cycles_go_to_the_innermost_tally_and_nowhere_without_one() {
+        record_simulated_cycles(5);
+        let ((), outer) = count_simulated_cycles(|| {
+            record_simulated_cycles(3);
+            let ((), inner) = count_simulated_cycles(|| record_simulated_cycles(7));
+            assert_eq!(inner, 7);
+        });
+        assert_eq!(outer, 10, "the nested count adds to the enclosing one");
+        let ((), none) = count_simulated_cycles(|| ());
+        assert_eq!(none, 0);
+    }
+
+    #[test]
+    fn tallies_on_other_threads_are_separate_unless_entered() {
+        let ((), counted) = count_simulated_cycles(|| {
+            let tally = current_tally();
+            std::thread::scope(|scope| {
+                scope.spawn(|| record_simulated_cycles(100));
+                scope.spawn(|| tally.enter(|| record_simulated_cycles(11)));
+            });
+        });
+        assert_eq!(counted, 11);
+    }
+
+    #[test]
+    fn a_panic_restores_the_previous_tally() {
+        let ((), outer) = count_simulated_cycles(|| {
+            let caught = std::panic::catch_unwind(|| {
+                count_simulated_cycles(|| {
+                    record_simulated_cycles(4);
+                    panic!("boom");
+                })
+            });
+            assert!(caught.is_err());
+            record_simulated_cycles(2);
+        });
+        assert_eq!(outer, 2);
+    }
 
     #[test]
     fn counter_accumulates() {

@@ -5,11 +5,8 @@
 //! A memo hit must be invisible: every report's `Debug` text has to be
 //! the same whether the workload is fresh, already warm, a clone, swept
 //! in forward or reverse config order, or simulated from four threads at
-//! once, and a hit must add exactly as many simulated cycles to the
-//! process-wide counter as a miss.
-//!
-//! The process-wide counter is shared by every test in this binary, so
-//! the tests take one lock and run one at a time.
+//! once, and a hit must count exactly as many simulated cycles as a
+//! miss.
 
 use capstan::apps::pagerank::{PrEdge, PrPull};
 use capstan::apps::spmv::CsrSpmv;
@@ -19,15 +16,8 @@ use capstan::baselines::plasticine;
 use capstan::core::config::{CapstanConfig, MemoryKind};
 use capstan::core::perf::simulate;
 use capstan::core::program::Workload;
-use capstan::sim::stats::simulated_cycles;
+use capstan::sim::stats::count_simulated_cycles;
 use capstan::tensor::gen::Dataset;
-use std::sync::{Mutex, MutexGuard};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Apps with SRAM traces, and two with cross-tile shuffle traffic.
 fn apps() -> Vec<Box<dyn App>> {
@@ -72,11 +62,9 @@ fn record(app: &dyn App) -> Workload {
     app.build(&CapstanConfig::paper_default())
 }
 
-/// `(report Debug text, simulated cycles the call added)`.
+/// `(report Debug text, simulated cycles the call counted)`.
 fn run(w: &Workload, cfg: &CapstanConfig) -> (String, u64) {
-    let before = simulated_cycles();
-    let text = format!("{:?}", simulate(w, cfg));
-    (text, simulated_cycles() - before)
+    count_simulated_cycles(|| format!("{:?}", simulate(w, cfg)))
 }
 
 /// Each `(app, config)` pair simulated on a workload recorded for that
@@ -89,7 +77,6 @@ fn fresh(apps: &[Box<dyn App>], configs: &[CapstanConfig]) -> Vec<Vec<(String, u
 
 #[test]
 fn memo_hits_match_fresh_runs_in_text_and_cycles() {
-    let _serial = serial();
     let (apps, configs) = (apps(), configs());
     let expected = fresh(&apps, &configs);
     for (app, want) in apps.iter().zip(&expected) {
@@ -121,7 +108,6 @@ fn memo_hits_match_fresh_runs_in_text_and_cycles() {
 
 #[test]
 fn memo_is_independent_of_config_order() {
-    let _serial = serial();
     let (apps, configs) = (apps(), configs());
     let expected = fresh(&apps, &configs);
     for (app, want) in apps.iter().zip(&expected) {
@@ -139,7 +125,6 @@ fn memo_is_independent_of_config_order() {
 
 #[test]
 fn concurrent_callers_share_the_memo_without_changing_results() {
-    let _serial = serial();
     let (apps, configs) = (apps(), configs());
     let expected = fresh(&apps, &configs);
     let workloads: Vec<Workload> = apps.iter().map(|app| record(&**app)).collect();
@@ -147,11 +132,11 @@ fn concurrent_callers_share_the_memo_without_changing_results() {
     let pairs: Vec<(usize, usize)> = (0..2)
         .flat_map(|_| (0..apps.len()).flat_map(|a| (0..configs.len()).map(move |c| (a, c))))
         .collect();
-    let before = simulated_cycles();
-    let texts = capstan_par::par_map_threads(&pairs, 4, |&(a, c)| {
-        format!("{:?}", simulate(&workloads[a], &configs[c]))
+    let (texts, added) = count_simulated_cycles(|| {
+        capstan_par::par_map_threads(&pairs, 4, |&(a, c)| {
+            format!("{:?}", simulate(&workloads[a], &configs[c]))
+        })
     });
-    let added = simulated_cycles() - before;
     for (&(a, c), text) in pairs.iter().zip(&texts) {
         assert_eq!(
             text,
